@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Route 100 pairs on the 101x101 grid and time it.
 
-The construction is polynomial: each level either deletes one column
+The construction is polynomial: each step either deletes one column
 (when some pair shares a line) or two columns (after walking the
 crowded block's terminals into free entries), so even 10,201 vertices
-and 200 terminals finish in seconds.
+and 200 terminals finish in a fraction of a second.
 """
 
 import random
@@ -31,6 +31,6 @@ print(f"grid            : {d1 + 1} x {d2 + 1} ({grid.vertex_count} vertices)")
 print(f"pairs routed    : {k}")
 print(f"solve time      : {solve_time:.2f}s")
 print(f"verifier        : {'pass' if report.ok else report.reason}")
-print(f"recursion depth : {trace.depth}")
+print(f"case steps      : {trace.depth}")
 print(f"longest path    : {len(longest)} vertices")
 print(f"path vertices   : {sum(len(p) for p in linkage.paths)} total")

@@ -5,17 +5,22 @@ pairs; the construction is inductive on the grid dimensions and every
 run is recorded as a trace of case decisions that can be replayed to
 reproduce the linkage bit for bit.
 
-The recursion peels columns off the grid (transposing when rows are the
-better side to peel):
+Each case step peels columns off the grid (transposing when rows are the
+better side to peel) and hands the smaller problem to the next step:
 
 * one active row: the grid is a clique and each pair is a direct edge;
 * two active rows: a flow relocation brings all terminals to one row,
   where the clique finishes the job;
-* some pair shares a column: that pair is an edge; the column's other
-  terminals are moved out by disjoint paths and the column is deleted;
+* some pair shares a column: that pair is an edge; each other terminal
+  of the column steps across its own row into the first free cell, and
+  the column is deleted (only when a terminal's row is full does a flow
+  relocation move the column's terminals out instead);
 * otherwise a pair spanning two columns is bridged inside them, the
   remaining terminals of those columns are walked out into free entries
   of the rest of the grid, and both columns are deleted.
+
+The steps run in a loop, not by recursion, and the linkage is folded
+back out of the finished trace by the same code that replays it.
 
 Internal failures raise SolverInvariantError carrying the trace: the
 construction cannot fail on a legal input, so a failure is a bug, never
@@ -27,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .grid import ProductGraph, Subgrid, Vertex
+from .grid import ProductGraph, Subgrid, Vertex, flip
 from .menger import disjoint_paths
 from .problem import Linkage, LinkageProblem, ProblemContractError
 
@@ -316,7 +321,7 @@ def _stitch(inner, stub_s, stub_t):
 
 
 def _finish(step, rec: dict[int, list[Vertex]]) -> dict[int, list[Vertex]]:
-    """Shared stitching used both by the solver and by trace replay."""
+    """Stitch one step's stubs onto the paths routed by the steps after it."""
     out = dict(rec)
     if step.pad is not None:
         out.pop(_PAD, None)
@@ -330,10 +335,6 @@ def _finish(step, rec: dict[int, list[Vertex]]) -> dict[int, list[Vertex]]:
             out[idx] = _stitch(inner, stub_s, stub_t)
     out[step.pair] = list(step.bridge)
     return out
-
-
-def _flip_vertex(v: Vertex) -> Vertex:
-    return Vertex(v[1], v[0])
 
 
 def _partner_of(pairs, v: Vertex):
@@ -394,30 +395,28 @@ def _escape_path(rows, block_cols, rest_cols, start: Vertex, partner: Vertex,
     return path
 
 
-def _base_single_row(rows, pairs, steps):
-    result = {idx: [s, t] for s, t, idx in pairs}
-    steps.append(SingleRowStep(rows[0], {i: tuple(p) for i, p in result.items()}))
-    return result
+def _subgrid(rows, cols) -> Subgrid:
+    return Subgrid(ProductGraph(max(rows), max(cols)), rows, cols)
 
 
-def _base_two_rows(rows, cols, pairs, steps, base):
+def _base_single_row(rows, pairs):
+    return SingleRowStep(rows[0], {idx: (s, t) for s, t, idx in pairs})
+
+
+def _base_two_rows(rows, cols, pairs):
     target = rows[1]
     terminals = sorted(v for s, t, _ in pairs for v in (s, t))
     goal = [Vertex(target, c) for c in cols]
-    ps = disjoint_paths(Subgrid(base, rows, cols), terminals, goal, (), len(terminals))
+    ps = disjoint_paths(_subgrid(rows, cols), terminals, goal, (), len(terminals))
     if ps is None:
         raise SolverInvariantError("two-row relocation infeasible; contradicts connectivity")
     stub = {p[0]: list(p) for p in ps}
     if set(stub) != set(terminals):
         raise SolverInvariantError("two-row relocation missed a terminal")
-    result = {}
-    for s, t, idx in pairs:
-        result[idx] = stub[s] + stub[t][::-1]
-    steps.append(TwoRowsStep(target, {i: tuple(p) for i, p in result.items()}))
-    return result
+    return TwoRowsStep(target, {idx: tuple(stub[s] + stub[t][::-1]) for s, t, idx in pairs})
 
 
-def _case_line_pair(rows, cols, pairs, chosen, steps, base):
+def _case_line_pair(rows, cols, pairs, chosen):
     s1, t1, i1 = chosen
     col0 = s1[1]
     anchors = {s1, t1}
@@ -428,13 +427,22 @@ def _case_line_pair(rows, cols, pairs, chosen, steps, base):
     moves = _Moves(occupied)
     if movers:
         _margin_guard(len(rows), len(cols))
-        free = [Vertex(r, c) for r in rows for c in rest_cols if Vertex(r, c) not in occupied]
-        if len(free) < len(movers):
-            raise SolverInvariantError("not enough free entries outside the column")
-        ps = disjoint_paths(Subgrid(base, rows, cols), movers, free,
-                            staying + sorted(anchors), len(movers))
-        if ps is None:
-            raise SolverInvariantError("column evacuation infeasible; contradicts connectivity")
+        # movers sit on distinct rows, so one hop across each row to its
+        # first free cell gives pairwise disjoint paths with no interior
+        hops = [next((Vertex(x[0], c) for c in rest_cols if Vertex(x[0], c) not in occupied),
+                     None) for x in movers]
+        if None in hops:
+            # some mover's row is full outside the column: relocate by flow
+            free = [Vertex(r, c) for r in rows for c in rest_cols
+                    if Vertex(r, c) not in occupied]
+            if len(free) < len(movers):
+                raise SolverInvariantError("not enough free entries outside the column")
+            ps = disjoint_paths(_subgrid(rows, cols), movers, free,
+                                staying + sorted(anchors), len(movers))
+            if ps is None:
+                raise SolverInvariantError("column evacuation infeasible; contradicts connectivity")
+        else:
+            ps = [[x, w] for x, w in zip(movers, hops)]
         for p in ps:
             moves.apply(p[0], p)
     rec_pairs = []
@@ -447,12 +455,10 @@ def _case_line_pair(rows, cols, pairs, chosen, steps, base):
         if stub_s is not None or stub_t is not None:
             stubs[idx] = (stub_s, stub_t)
     step = LinePairStep(i1, col0, (s1, t1), tuple(movers), tuple(staying), stubs)
-    steps.append(step)
-    rec = _solve(rows, rest_cols, rec_pairs, steps)
-    return _finish(step, rec)
+    return step, (rows, rest_cols, rec_pairs)
 
 
-def _case_two_columns(rows, cols, pairs, steps, base):
+def _case_two_columns(rows, cols, pairs):
     s1, t1, i1 = pairs[0]
     block_cols = (s1[1], t1[1])
     block_set = frozenset(block_cols)
@@ -520,7 +526,7 @@ def _case_two_columns(rows, cols, pairs, steps, base):
                 mover_set = set(movers)
                 forb = sorted(v for v in occupied
                               if v[1] in block_set and v[0] != bend and v not in mover_set)
-                ps = disjoint_paths(Subgrid(base, net_rows, block_cols), movers, free,
+                ps = disjoint_paths(_subgrid(net_rows, block_cols), movers, free,
                                     forb, len(movers))
                 if ps is None:
                     raise SolverInvariantError("in-block relocation infeasible")
@@ -582,41 +588,48 @@ def _case_two_columns(rows, cols, pairs, steps, base):
         rec_pairs.append((pad[0], pad[1], _PAD))
     step = TwoColumnStep(i1, block_cols, slack, bend, tuple(bridge), top_rows,
                          pushes, into_block, in_block, matching, stubs, pad)
-    steps.append(step)
-    rec = _solve(rows, rest_cols, rec_pairs, steps)
-    return _finish(step, rec)
+    return step, (rows, rest_cols, rec_pairs)
 
 
-def _transpose_and_solve(rows, cols, pairs, steps, reason, retransposed=False):
-    steps.append(TransposeStep(reason))
-    flipped = [(_flip_vertex(s), _flip_vertex(t), idx) for s, t, idx in pairs]
-    rec = _solve(cols, rows, flipped, steps, retransposed)
-    return {idx: [_flip_vertex(v) for v in path] for idx, path in rec.items()}
+def _transpose(rows, cols, pairs, reason):
+    flipped = [(flip(s), flip(t), idx) for s, t, idx in pairs]
+    return TransposeStep(reason), (cols, rows, flipped)
 
 
-def _solve(rows, cols, pairs, steps, retransposed=False):
-    if not pairs:
-        return {}
-    base = ProductGraph(rows[-1], cols[-1])
+def _next_step(rows, cols, pairs, retransposed):
+    """The case step for this problem and the smaller problem it leaves
+    (None after a base case)."""
     if len(rows) > 2 >= len(cols):
-        return _transpose_and_solve(rows, cols, pairs, steps, "narrow-side-first")
+        return _transpose(rows, cols, pairs, "narrow-side-first")
     if len(rows) == 1:
-        return _base_single_row(rows, pairs, steps)
+        return _base_single_row(rows, pairs), None
     if len(rows) == 2:
-        return _base_two_rows(rows, cols, pairs, steps, base)
+        return _base_two_rows(rows, cols, pairs), None
     for s, t, idx in pairs:
         if s[1] == t[1]:
-            return _case_line_pair(rows, cols, pairs, (s, t, idx), steps, base)
+            return _case_line_pair(rows, cols, pairs, (s, t, idx))
         if s[0] == t[0]:
-            return _transpose_and_solve(rows, cols, pairs, steps, "pair-in-row")
+            return _transpose(rows, cols, pairs, "pair-in-row")
     s1, t1, _ = pairs[0]
     block = {s1[1], t1[1]}
     in_block = sum(1 for s, t, _ in pairs for v in (s, t) if v[1] in block)
     if in_block > len(rows) + 1:
         if retransposed:
             raise SolverInvariantError("both the column and the row block overflow")
-        return _transpose_and_solve(rows, cols, pairs, steps, "two-column-overflow", True)
-    return _case_two_columns(rows, cols, pairs, steps, base)
+        return _transpose(rows, cols, pairs, "two-column-overflow")
+    return _case_two_columns(rows, cols, pairs)
+
+
+def _solve(rows, cols, pairs, steps) -> None:
+    """Append case steps to steps until a base case or no pair is left."""
+    retransposed = False
+    while pairs:
+        step, reduced = _next_step(rows, cols, pairs, retransposed)
+        steps.append(step)
+        if reduced is None:
+            return
+        rows, cols, pairs = reduced
+        retransposed = isinstance(step, TransposeStep) and step.reason == "two-column-overflow"
 
 
 def solver_capacity(n_rows: int, n_cols: int) -> int:
@@ -650,20 +663,24 @@ def solve(problem: LinkageProblem) -> tuple[Linkage, SolverTrace]:
     pairs = [(s, t, i) for i, (s, t) in enumerate(problem.pairs)]
     steps: list = []
     try:
-        result = _solve(sub.rows, sub.cols, pairs, steps)
+        _solve(sub.rows, sub.cols, pairs, steps)
+        trace = SolverTrace(tuple(steps))
+        return replay(problem, trace), trace
     except SolverInvariantError as err:
         err.trace = SolverTrace(tuple(steps))
         raise
-    linkage = Linkage(tuple(tuple(result[i]) for i in range(problem.k)))
-    return linkage, SolverTrace(tuple(steps))
 
 
 def replay(problem: LinkageProblem, trace: SolverTrace) -> Linkage:
-    """Rebuild the linkage from the recorded case decisions alone."""
+    """Rebuild the linkage from the recorded case decisions alone.
+
+    solve() builds its own linkage this way too: the last step's paths
+    come first, and each earlier step stitches its stubs onto them.
+    """
     acc: dict[int, list[Vertex]] = {}
     for step in reversed(trace.steps):
         if isinstance(step, TransposeStep):
-            acc = {i: [_flip_vertex(v) for v in p] for i, p in acc.items()}
+            acc = {i: [flip(v) for v in p] for i, p in acc.items()}
         elif isinstance(step, (SingleRowStep, TwoRowsStep)):
             for i, p in step.paths.items():
                 acc[i] = list(p)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from rooklink import (LinkageProblem, ProblemContractError, ProductGraph,
                       doubled_row_matching, drain_block, exhaustive_solve,
                       max_guaranteed_pairs, random_pairing, render_trace,
                       replay, routing_margin_holds, solve, verify)
+import rooklink.solver
 from rooklink.solver import LinePairStep, TransposeStep, TwoColumnStep
 
 V = Vertex
@@ -90,6 +92,40 @@ class TestPairInColumn:
     def test_pair_in_row_is_transposed(self):
         p = problem(2, 3, ((0, 0), (0, 3)), ((1, 1), (2, 2)))
         solve_and_check(p)
+
+    def test_movers_hop_across_their_rows(self):
+        # every mover's row has a free cell outside the column, so each one
+        # steps straight across its row to the first such cell
+        p = problem(4, 4, ((0, 0), (3, 0)), ((1, 0), (2, 3)), ((2, 0), (0, 4)),
+                    ((4, 0), (1, 1)))
+        _, trace = solve_and_check(p)
+        step = trace.steps[0]
+        assert isinstance(step, LinePairStep)
+        assert step.moved == (V(1, 0), V(2, 0), V(4, 0))
+        stubs = {stub[0]: stub for pair in step.stubs.values() for stub in pair if stub}
+        assert set(stubs) == set(step.moved)
+        for x in step.moved:
+            assert len(stubs[x]) == 2 and stubs[x][1][0] == x[0]
+        assert stubs[V(1, 0)] == (V(1, 0), V(1, 2))  # (1, 1) holds a terminal
+
+    def test_full_row_falls_back_to_flow(self, monkeypatch):
+        # the mover (2, 0) finds row 2 full outside column 0, so the column
+        # is evacuated by a flow relocation instead of a hop
+        sources = []
+        flow = rooklink.solver.disjoint_paths
+
+        def recording(s, a_set, *args):
+            sources.append(list(a_set))
+            return flow(s, a_set, *args)
+
+        monkeypatch.setattr(rooklink.solver, "disjoint_paths", recording)
+        p = problem(4, 2, ((0, 0), (1, 0)), ((2, 0), (2, 1)), ((2, 2), (4, 1)))
+        _, trace = solve_and_check(p)
+        step = trace.steps[0]
+        assert isinstance(step, LinePairStep) and step.moved == (V(2, 0),)
+        assert sources[0] == [V(2, 0)]
+        stub = step.stubs[1][0]
+        assert stub[0] == V(2, 0) and stub[-1][0] != 2
 
 
 class TestBridge:
@@ -312,6 +348,31 @@ class TestSweeps:
         sub = Subgrid(ProductGraph(5, 6), (0, 2, 5), (1, 3, 4, 6))
         p = LinkageProblem(sub, ((V(0, 1), V(5, 3)), (V(2, 4), V(0, 6))))
         solve_and_check(p)
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_large_solve_needs_no_deep_stack():
+    # 150 pairs on a 151 x 151 board take over a hundred case steps; the
+    # solver loops over them, so its stack depth does not grow with them
+    rng = random.Random(151)
+    grid = ProductGraph(150, 150)
+    terms = sorted(rng.sample(sorted(grid.subgrid().vertices()), 300))
+    p = LinkageProblem(grid, tuple(random_pairing(terms, rng)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        link, trace = solve(p)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert trace.depth > 100
+    assert verify(p, link).ok
+    assert replay(p, trace) == link
 
 
 class TestDeterminism:
