@@ -88,7 +88,7 @@ def _cmd_connectivity(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    k = args.k if args.k is not None else (args.d1 + args.d2 + 1) // 2
+    k = args.k if args.k is not None else max_guaranteed_pairs(args.d1, args.d2) + 1
     result = find_infeasible_pairing(
         args.d1, args.d2, k,
         node_budget=args.budget, seed=args.seed, count=args.count,

@@ -4,16 +4,20 @@ verify checks a claimed linkage against first principles (endpoints,
 adjacency, simplicity, disjointness, activity) and reports the first
 violation it finds.  exhaustive_solve is a complete backtracking search
 for a linkage, with visited-set pruning and a reachability cut; it is
-the oracle the solver is cross-checked against and the engine behind the
-(non-)linkedness sweeps.  Nothing here imports the solver or the flow
+the oracle the solver is cross-checked against.  find_infeasible_pairing
+is the one sweep engine: it feeds a stream of instances (the corner-fixed
+enumeration or a seeded sample) to exhaustive_solve under one node
+budget and stops at the first certified infeasible pairing; is_k_linked
+is a thin wrapper over it.  Nothing here imports the solver or the flow
 engine.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 import random
 
 from .grid import ProductGraph, Subgrid, Vertex
@@ -216,79 +220,50 @@ def random_pairing(items, rng: random.Random):
     return out
 
 
-def _instances(d1: int, d2: int, k: int, fix_corner: bool):
-    """All 2k-terminal problems, optionally only those containing (0,0).
-
-    Restricting to sets containing the lexicographically smallest vertex
-    is sound for linkedness sweeps: row and column permutations act
-    transitively on vertices and preserve linkages, so every terminal
-    set is equivalent to one through the corner.
-    """
-    grid = ProductGraph(d1, d2)
-    verts = sorted(grid.vertices())
-    if fix_corner:
-        corner = verts[0]
-        pool = verts[1:]
-        sets = ((corner,) + rest for rest in combinations(pool, 2 * k - 1))
-    else:
-        sets = combinations(verts, 2 * k)
-    for terminal_set in sets:
-        for pairing in all_pairings(terminal_set):
-            yield LinkageProblem(grid, tuple(pairing))
+def _sweepable(grid: ProductGraph, k: int) -> bool:
+    """Whether the exhaustive sweep for k pairs is small enough to run."""
+    return grid.vertex_count <= 16 or 2 * k <= 6
 
 
-def is_k_linked(d1: int, d2: int, k: int, mode: str = "exhaustive",
-                seed: int = 0, count: int = 1000,
-                node_budget: int | None = None) -> tuple[bool, LinkageProblem | None]:
-    """Decide (exhaustively) or probe (sampled) whether the grid is k-linked.
-
-    Exhaustive mode enumerates every 2k-set through the corner vertex and
-    every pairing; it refuses grids that are too large for that sweep.
-    Sampled mode draws seeded random instances and can only ever find
-    counterexamples, never certify linkedness.
-    """
+def _checked_grid(d1: int, d2: int, k: int) -> ProductGraph:
     grid = ProductGraph(d1, d2)
     if 2 * k > grid.vertex_count:
         raise ValueError("not enough vertices for 2k terminals")
-    if k == 0:
-        return True, None
-    if mode == "exhaustive":
-        if grid.vertex_count > 16 and 2 * k > 6:
-            raise ValueError("grid too large for an exhaustive linkedness sweep")
-        for problem in _instances(d1, d2, k, fix_corner=True):
-            verdict = exhaustive_solve(problem, node_budget)
-            if verdict.indeterminate:
-                raise ValueError("node budget too small for exhaustive mode")
-            if not verdict.feasible:
-                return False, problem
-        return True, None
-    if mode == "sampled":
-        rng = random.Random(seed)
-        verts = sorted(grid.vertices())
-        for _ in range(count):
-            terminal_set = sorted(rng.sample(verts, 2 * k))
-            problem = LinkageProblem(grid, tuple(random_pairing(terminal_set, rng)))
-            verdict = exhaustive_solve(problem, node_budget)
-            if verdict.feasible is False:
-                return False, problem
-        return True, None
-    raise ValueError(f"unknown mode {mode!r}")
+    return grid
 
 
-def _probe(problem: LinkageProblem) -> tuple[bool, int]:
+def _corner_instances(grid: ProductGraph, k: int):
+    """Every pairing of every 2k-set that contains the corner (0, 0).
+
+    Restricting to sets through the lexicographically smallest vertex is
+    sound for linkedness sweeps: row and column permutations act
+    transitively on vertices and preserve linkages, so every terminal
+    set is equivalent to one through the corner.
+    """
+    verts = sorted(grid.vertices())
+    for rest in combinations(verts[1:], 2 * k - 1):
+        for pairing in all_pairings((verts[0],) + rest):
+            yield LinkageProblem(grid, tuple(pairing))
+
+
+def _sampled_instances(grid: ProductGraph, k: int, seed: int, count: int):
+    """count seeded draws: a random 2k-set, then a random pairing of it."""
+    rng = random.Random(seed)
+    verts = sorted(grid.vertices())
+    for _ in range(count):
+        terminal_set = sorted(rng.sample(verts, 2 * k))
+        yield LinkageProblem(grid, tuple(random_pairing(terminal_set, rng)))
+
+
+def _probe(problem: LinkageProblem) -> Verdict:
+    """Pool worker: the verdict without its witness, which need not travel."""
     verdict = exhaustive_solve(problem)
-    return bool(verdict.feasible), verdict.nodes_explored
+    return Verdict(verdict.feasible, None, verdict.nodes_explored)
 
 
 def _chunks(iterable, size: int):
-    chunk = []
-    for item in iterable:
-        chunk.append(item)
-        if len(chunk) == size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+    it = iter(iterable)
+    return iter(lambda: list(islice(it, size)), [])
 
 
 def find_infeasible_pairing(d1: int, d2: int, k: int,
@@ -298,62 +273,72 @@ def find_infeasible_pairing(d1: int, d2: int, k: int,
                             workers: int = 1) -> SharpnessResult:
     """Hunt for a pairing of 2k terminals that admits no linkage.
 
-    Every hit is certified by a completed exhaustive search.  The result
-    says whether the hunt itself was complete: completed=True with no
-    find means the grid really is k-linked; an exhausted budget or a
-    random sample that came up empty proves nothing.
+    This is the one sweep engine.  Its instances are either every
+    pairing through the corner vertex (exhaustive; the default when the
+    grid is small enough) or count seeded random pairings.  Each goes to
+    exhaustive_solve, its nodes are charged to node_budget (one budget
+    for the whole sweep), and the hunt stops at the first instance
+    certified infeasible by a completed search.  The result says whether
+    the hunt itself was complete: completed=True with no find means the
+    grid really is k-linked; an exhausted budget or a random sample that
+    came up empty proves nothing.
 
-    With workers > 1 the exhaustive sweep is partitioned chunkwise
-    across a process pool and merged in instance order, so the pairing
-    found never depends on scheduling; a node budget forces the sweep
-    back to sequential because budget accounting is inherently ordered.
+    With workers > 1 and no budget, instances are judged chunkwise by a
+    process pool and merged in instance order, so the pairing found
+    never depends on scheduling; a node budget keeps the sweep in this
+    process because budget accounting is inherently ordered.
     """
-    grid = ProductGraph(d1, d2)
-    if 2 * k > grid.vertex_count:
-        raise ValueError("not enough vertices for 2k terminals")
+    grid = _checked_grid(d1, d2, k)
     if k == 0:
         return SharpnessResult(None, True, 0, 0)
     if exhaustive is None:
-        exhaustive = grid.vertex_count <= 16 or 2 * k <= 6
+        exhaustive = _sweepable(grid, k)
+    source = (_corner_instances(grid, k) if exhaustive
+              else _sampled_instances(grid, k, seed, count))
+    parallel = workers > 1 and node_budget is None
+    if parallel:
+        from multiprocessing import Pool
     spent = 0
     checked = 0
-    if exhaustive:
-        if workers > 1 and node_budget is None:
-            from multiprocessing import Pool
+    with Pool(workers) if parallel else nullcontext() as pool:
+        for chunk in _chunks(source, 64 * workers if parallel else 1):
+            if parallel:
+                verdicts = pool.map(_probe, chunk)
+            else:
+                remaining = None if node_budget is None else node_budget - spent
+                if remaining is not None and remaining <= 0:
+                    return SharpnessResult(None, False, checked, spent)
+                verdicts = [exhaustive_solve(chunk[0], remaining)]
+            for problem, verdict in zip(chunk, verdicts):
+                spent += verdict.nodes_explored
+                checked += 1
+                if verdict.indeterminate:
+                    return SharpnessResult(None, False, checked, spent)
+                if not verdict.feasible:
+                    return SharpnessResult(problem, True, checked, spent)
+    return SharpnessResult(None, exhaustive, checked, spent)
 
-            with Pool(workers) as pool:
-                for chunk in _chunks(_instances(d1, d2, k, fix_corner=True),
-                                     64 * workers):
-                    outcomes = pool.map(_probe, chunk)
-                    for problem, (feasible, nodes) in zip(chunk, outcomes):
-                        spent += nodes
-                        checked += 1
-                        if not feasible:
-                            return SharpnessResult(problem, True, checked, spent)
-            return SharpnessResult(None, True, checked, spent)
-        for problem in _instances(d1, d2, k, fix_corner=True):
-            remaining = None if node_budget is None else node_budget - spent
-            if remaining is not None and remaining <= 0:
-                return SharpnessResult(None, False, checked, spent)
-            verdict = exhaustive_solve(problem, remaining)
-            spent += verdict.nodes_explored
-            checked += 1
-            if verdict.indeterminate:
-                return SharpnessResult(None, False, checked, spent)
-            if not verdict.feasible:
-                return SharpnessResult(problem, True, checked, spent)
-        return SharpnessResult(None, True, checked, spent)
-    rng = random.Random(seed)
-    verts = sorted(grid.vertices())
-    for _ in range(count):
-        remaining = None if node_budget is None else node_budget - spent
-        if remaining is not None and remaining <= 0:
-            return SharpnessResult(None, False, checked, spent)
-        terminal_set = sorted(rng.sample(verts, 2 * k))
-        problem = LinkageProblem(grid, tuple(random_pairing(terminal_set, rng)))
-        verdict = exhaustive_solve(problem, remaining)
-        spent += verdict.nodes_explored
-        checked += 1
-        if verdict.feasible is False:
-            return SharpnessResult(problem, True, checked, spent)
-    return SharpnessResult(None, False, checked, spent)
+
+def is_k_linked(d1: int, d2: int, k: int, mode: str = "exhaustive",
+                seed: int = 0, count: int = 1000,
+                node_budget: int | None = None) -> tuple[bool, LinkageProblem | None]:
+    """Decide (exhaustively) or probe (sampled) whether the grid is k-linked.
+
+    A thin wrapper over find_infeasible_pairing.  Exhaustive mode sweeps
+    every 2k-set through the corner vertex and every pairing; it refuses
+    grids that are too large for that sweep, and a node_budget too small
+    to finish it.  Sampled mode draws seeded random instances and can
+    only ever find counterexamples, never certify linkedness.
+    node_budget bounds the nodes of the whole sweep, not of each
+    instance.
+    """
+    grid = _checked_grid(d1, d2, k)
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    exhaustive = mode == "exhaustive"
+    if exhaustive and not _sweepable(grid, k):
+        raise ValueError("grid too large for an exhaustive linkedness sweep")
+    result = find_infeasible_pairing(d1, d2, k, node_budget, seed, count, exhaustive)
+    if exhaustive and not result.completed:
+        raise ValueError("node budget too small for exhaustive mode")
+    return result.found is None, result.found

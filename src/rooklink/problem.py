@@ -54,7 +54,15 @@ class LinkageProblem:
 
     @property
     def guaranteed_bound(self) -> int:
+        """Largest pair count the constructive solver accepts here.
+
+        This is max_guaranteed_pairs of the active dimensions, except that
+        a single active row or column is a complete graph on n vertices
+        and links any n // 2 pairs outright.
+        """
         sub = self.subgrid
+        if sub.n_rows == 1 or sub.n_cols == 1:
+            return sub.vertex_count // 2
         return max_guaranteed_pairs(sub.n_rows - 1, sub.n_cols - 1)
 
 

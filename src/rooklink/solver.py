@@ -57,11 +57,6 @@ def routing_margin_holds(x: int, y: int) -> bool:
     return x * (y - 1) > x + y - 3
 
 
-def _margin_guard(x: int, y: int) -> None:
-    if x >= 2 and y >= 2 and not routing_margin_holds(x, y):
-        raise SolverInvariantError(f"counting margin failed for ({x}, {y})")
-
-
 def cyclic_dual_params(d: int) -> tuple[int, int]:
     """Grid dimensions whose product graph is the dual graph of the
     cyclic d-polytope on d + 2 vertices: (floor(d/2), ceil(d/2))."""
@@ -426,7 +421,6 @@ def _case_line_pair(rows, cols, pairs, chosen):
     rest_cols = tuple(c for c in cols if c != col0)
     moves = _Moves(occupied)
     if movers:
-        _margin_guard(len(rows), len(cols))
         # movers sit on distinct rows, so one hop across each row to its
         # first free cell gives pairwise disjoint paths with no interior
         hops = [next((Vertex(x[0], c) for c in rest_cols if Vertex(x[0], c) not in occupied),
@@ -490,7 +484,6 @@ def _case_two_columns(rows, cols, pairs):
     elif slack == d1p - 1:
         x2 = others[0]
         partner, idx2 = _partner_of(pairs, x2)
-        _margin_guard(d1p - 1, d2p)
         path = _escape_path(rows, block_cols, rest_cols, x2, partner, occupied, bend)
         if path[-1] == partner:
             # the escape finished the whole pair; shield its endpoint from
@@ -507,7 +500,6 @@ def _case_two_columns(rows, cols, pairs):
                           if all(Vertex(r, c) in occupied for c in rest_cols))
         if len(full_rows) > slack:
             raise SolverInvariantError("more saturated rows than the occupancy slack allows")
-        _margin_guard(slack + 1, d2p)
         top_rows = tuple(sorted({bend, *full_rows}))
         low_rows = tuple(r for r in rows if r not in top_rows)
         movers = sorted(v for v in occupied
@@ -632,20 +624,6 @@ def _solve(rows, cols, pairs, steps) -> None:
         retransposed = isinstance(step, TransposeStep) and step.reason == "two-column-overflow"
 
 
-def solver_capacity(n_rows: int, n_cols: int) -> int:
-    """Largest pair count the construction accepts for the active sizes.
-
-    This is the guaranteed bound (d1' + d2') // 2, except that a single
-    active row or column is a complete graph on n vertices and links any
-    n // 2 pairs outright.
-    """
-    if n_rows == 1:
-        return n_cols // 2
-    if n_cols == 1:
-        return n_rows // 2
-    return (n_rows - 1 + n_cols - 1) // 2
-
-
 def solve(problem: LinkageProblem) -> tuple[Linkage, SolverTrace]:
     """Route every pair of the problem with pairwise disjoint paths.
 
@@ -654,12 +632,12 @@ def solve(problem: LinkageProblem) -> tuple[Linkage, SolverTrace]:
     the construction always succeeds, so any internal failure surfaces
     as SolverInvariantError rather than a result.
     """
-    sub = problem.subgrid
-    if problem.k > solver_capacity(sub.n_rows, sub.n_cols):
+    bound = problem.guaranteed_bound
+    if problem.k > bound:
         raise ProblemContractError(
-            f"{problem.k} pairs exceed the guaranteed bound"
-            f" {solver_capacity(sub.n_rows, sub.n_cols)};"
+            f"{problem.k} pairs exceed the guaranteed bound {bound};"
             " use the exhaustive oracle for such instances")
+    sub = problem.subgrid
     pairs = [(s, t, i) for i, (s, t) in enumerate(problem.pairs)]
     steps: list = []
     try:

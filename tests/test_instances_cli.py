@@ -149,6 +149,12 @@ class TestCliSharpness:
         assert main(["sharpness", "2", "2", "--k", "2", "--exhaustive"]) == 0
         assert "none found: every pairing is feasible" in capsys.readouterr().out
 
+    def test_default_k_is_one_above_the_bound_on_even_sums(self, capsys):
+        assert main(["sharpness", "2", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "3 pairs, 9 pairings checked, 66 nodes" in out
+        assert "infeasible pairing found" in out
+
     def test_budget_exhaustion_exits_3(self, capsys):
         assert main(["sharpness", "2", "3", "--exhaustive", "--budget", "10"]) == 3
         assert "incomplete" in capsys.readouterr().out

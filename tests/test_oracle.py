@@ -182,6 +182,11 @@ class TestSharpness:
         assert res.found is not None and res.completed
         assert exhaustive_solve(res.found).feasible is False
 
+    @pytest.mark.parametrize("d1,d2,k", [(1, 2, 2), (2, 2, 2)])
+    def test_pool_matches_sequential(self, d1, d2, k):
+        assert (find_infeasible_pairing(d1, d2, k, workers=2)
+                == find_infeasible_pairing(d1, d2, k, workers=1))
+
     def test_zero_pairs_is_trivially_linked(self):
         assert is_k_linked(2, 2, 0) == (True, None)
         res = find_infeasible_pairing(2, 2, 0)

@@ -328,9 +328,10 @@ class TestSweeps:
 
     def test_fewer_pairs_never_fail(self):
         rng = random.Random(9)
-        for d1, d2 in [(2, 2), (2, 3), (3, 3), (2, 4)]:
-            bound = max_guaranteed_pairs(d1, d2)
+        # a single row is a clique: the 1x4 board links 2 pairs, not 1
+        for d1, d2, bound in [(2, 2, 2), (2, 3, 2), (3, 3, 3), (2, 4, 3), (0, 3, 2)]:
             grid = ProductGraph(d1, d2)
+            assert LinkageProblem(grid, ()).guaranteed_bound == bound
             verts = sorted(grid.subgrid().vertices())
             for k in range(0, bound + 1):
                 for _ in range(10):
