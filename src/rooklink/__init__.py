@@ -12,7 +12,7 @@ from .grid import (EmptySubgridError, InvalidVertexError, ProductGraph,
                    Subgrid, Vertex, flip)
 from .instances import (InstanceFormatError, parse_instance, parse_linkage,
                         serialize_instance, serialize_linkage)
-from .menger import PathSystem, connectivity, disjoint_paths
+from .menger import connectivity, disjoint_paths
 from .oracle import (SharpnessResult, Verdict, VerifyReport, all_pairings,
                      exhaustive_solve, find_infeasible_pairing, is_k_linked,
                      random_pairing, verify)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EmptySubgridError", "InstanceFormatError", "InvalidVertexError",
-    "Linkage", "LinkageProblem", "PathSystem", "ProblemContractError",
+    "Linkage", "LinkageProblem", "ProblemContractError",
     "ProductGraph", "SharpnessResult", "SolverInvariantError", "SolverTrace",
     "Subgrid", "Verdict", "Vertex", "VerifyReport", "all_pairings",
     "bridge_candidates", "bridge_path", "connectivity", "cyclic_dual_params",

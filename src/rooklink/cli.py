@@ -2,14 +2,18 @@
 
 Subcommands: solve, verify, oracle, connectivity, sharpness, fuzz,
 cyclic-dual.  Exit codes are stable across commands: 0 success/pass,
-1 verification failure or infeasible, 2 input error, 3 indeterminate.
-Randomised commands are reproducible from their seed; timing is printed
-to stderr so stdout stays byte-identical across runs.
+1 verification failure or infeasible, 2 input error, 3 indeterminate,
+4 internal error (a SolverInvariantError: a bug, reported on stderr with
+the solver's trace), and 141 when the reader of stdout closed the pipe
+early (as if killed by SIGPIPE; nothing more is printed).  Randomised
+commands are reproducible from their seed; timing is printed to stderr
+so stdout stays byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -26,6 +30,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
+EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1`
 
 
 def _read(path: str) -> str:
@@ -218,7 +224,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head -1`); point stdout at devnull
+        # so the interpreter's final flush has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except InstanceFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
@@ -229,7 +244,7 @@ def main(argv=None) -> int:
         print(f"internal error: {err}", file=sys.stderr)
         if err.trace is not None:
             print(render_trace(err.trace), file=sys.stderr)
-        raise
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

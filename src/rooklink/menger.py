@@ -15,22 +15,8 @@ both A and B yields a single-vertex path).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .grid import Subgrid, Vertex
-
-
-@dataclass
-class PathSystem:
-    """An ordered collection of pairwise vertex-disjoint paths."""
-
-    paths: list[list[Vertex]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
 
 
 class _FlowNet:
@@ -190,7 +176,8 @@ def _max_path_system(s: Subgrid, a_set, b_set, forbidden) -> list[list[Vertex]]:
     return net.extract(a_sorted, b_sorted)
 
 
-def disjoint_paths(s: Subgrid, a_set, b_set, forbidden=(), k: int | None = None) -> PathSystem | None:
+def disjoint_paths(s: Subgrid, a_set, b_set, forbidden=(),
+                   k: int | None = None) -> list[list[Vertex]] | None:
     """k pairwise vertex-disjoint A-B paths avoiding forbidden vertices.
 
     Returns None when fewer than k disjoint paths exist (the max-flow
@@ -207,7 +194,7 @@ def disjoint_paths(s: Subgrid, a_set, b_set, forbidden=(), k: int | None = None)
     paths = _max_path_system(s, a_sorted, b_sorted, forbidden)
     if len(paths) < k:
         return None
-    return PathSystem(paths[:k])
+    return paths[:k]
 
 
 def connectivity(s: Subgrid) -> int:

@@ -9,18 +9,21 @@ Each case step peels columns off the grid (transposing when rows are the
 better side to peel) and hands the smaller problem to the next step:
 
 * one active row: the grid is a clique and each pair is a direct edge;
-* two active rows: a flow relocation brings all terminals to one row,
-  where the clique finishes the job;
+* two active rows: every terminal of one row steps down its column into
+  the other row, detouring through an empty column when the cell below
+  is taken, and the row clique finishes the job;
 * some pair shares a column: that pair is an edge; each other terminal
-  of the column steps across its own row into the first free cell, and
-  the column is deleted (only when a terminal's row is full does a flow
-  relocation move the column's terminals out instead);
+  of the column steps across its own row into the first free cell, or
+  through a spare row when its own row is full, and the column is
+  deleted;
 * otherwise a pair spanning two columns is bridged inside them, the
   remaining terminals of those columns are walked out into free entries
   of the rest of the grid, and both columns are deleted.
 
-The steps run in a loop, not by recursion, and the linkage is folded
-back out of the finished trace by the same code that replays it.
+Every evacuation is one call to drain_block; only the crowded in-block
+relocation of the two-column case still uses the max-flow engine.  The
+steps run in a loop, not by recursion, and the linkage is folded back
+out of the finished trace by the same code that replays it.
 
 Internal failures raise SolverInvariantError carrying the trace: the
 construction cannot fail on a legal input, so a failure is a bug, never
@@ -192,82 +195,92 @@ def bridge_path(rows, block_cols, s: Vertex, t: Vertex, occupied) -> tuple[list[
     raise SolverInvariantError("every bridge candidate is blocked; occupancy cap violated")
 
 
-def doubled_row_matching(rows, block_cols, occupied, anchors) -> dict[int, int]:
-    """Injective map from rows whose two block entries are both plain
-    terminals to rows whose block entries hold at most an anchor.
+def _plain_by_row(rows, block_cols, occupied, anchors) -> dict[int, list[Vertex]]:
+    """The block's plain (non-anchor) terminals by row, in label and
+    block-column order; visits terminals only, not the whole block."""
+    row_set = set(rows)
+    hit = {v[0] for v in occupied
+           if v[1] in block_cols and v[0] in row_set and v not in anchors}
+    return {r: [v for v in (Vertex(r, c) for c in block_cols)
+                if v in occupied and v not in anchors] for r in sorted(hit)}
 
-    With at most len(rows) plain terminals in the block there are always
-    enough spare rows; lowest labels are matched first.
-    """
-    anchors = set(anchors)
-    occupied = set(occupied)
-    doubled = []
+
+def _free_dest(r: int, dest_cols, occupied) -> Vertex | None:
+    return next((w for w in (Vertex(r, c) for c in dest_cols) if w not in occupied), None)
+
+
+def _match_spares(plain, rows, block_cols, dest_cols, occupied) -> dict[int, int]:
+    needy = [r for r, xs in plain.items()
+             if len(xs) > 1 or _free_dest(r, dest_cols, occupied) is None]
+    if not needy:
+        return {}
     spare = []
     for r in sorted(rows):
-        cells = [Vertex(r, c) for c in block_cols]
-        plain = [v for v in cells if v in occupied and v not in anchors]
-        if len(plain) == 2:
-            doubled.append(r)
-        elif not plain:
+        if (r not in plain and any(Vertex(r, c) not in occupied for c in block_cols)
+                and _free_dest(r, dest_cols, occupied) is not None):
             spare.append(r)
-    if len(doubled) > len(spare):
-        raise SolverInvariantError("doubled rows outnumber spare rows in the block")
-    return dict(zip(doubled, spare))
+            if len(spare) == len(needy):
+                break
+    if len(spare) < len(needy):
+        raise SolverInvariantError("rows needing a detour outnumber spare rows")
+    return dict(zip(needy, spare))
+
+
+def doubled_row_matching(rows, block_cols, dest_cols, occupied, anchors) -> dict[int, int]:
+    """Injective map from the block rows that need a detour to spare rows.
+
+    A row needs a detour when it holds two plain terminals, or one that
+    faces a full destination row.  A spare row holds no plain terminal
+    and has a free block entry and a free destination entry.  Spare rows
+    are looked for only when a detour is needed, lowest label first, and
+    matched to the needy rows in label order; the solver's counting
+    arguments guarantee enough of them.
+    """
+    plain = _plain_by_row(rows, block_cols, occupied, set(anchors))
+    return _match_spares(plain, rows, block_cols, dest_cols, occupied)
 
 
 def drain_block(rows, block_cols, dest_cols, occupied, anchors,
                 matching: dict[int, int] | None = None) -> dict[Vertex, list[Vertex]]:
-    """Walk every plain terminal out of the two-column block.
+    """Walk every plain terminal out of the block into the destination
+    columns; the block is one or two columns wide.
 
-    A row holding one plain terminal crosses directly into a free entry
-    of the same destination row.  A doubled row sends one terminal
-    through the matched spare row's free block entry and the other
-    straight across; all paths are pairwise disjoint, never pass through
-    a terminal, and no destination row receives more than one endpoint.
-    Requires a free destination entry in every block row.
+    A plain terminal crosses straight into the first free entry of its
+    own destination row, except that a row matched to a spare row (see
+    doubled_row_matching) sends one terminal through the spare row's free
+    block entry in that terminal's column and on to the spare row's first
+    free destination entry.  All paths are pairwise disjoint, never pass
+    through a terminal, and no destination row receives more than one
+    endpoint.  A doubled row needs a free destination entry of its own
+    for the terminal that stays; a lone terminal that detours needs its
+    spare row's entry in its own column free, which holds in a one-column
+    block and for every spare row without an anchor.
     """
-    anchors = set(anchors)
-    occupied = set(occupied)
+    plain_rows = _plain_by_row(rows, block_cols, occupied, set(anchors))
     if matching is None:
-        matching = doubled_row_matching(rows, block_cols, occupied, anchors)
-    taken = set(occupied)
+        matching = _match_spares(plain_rows, rows, block_cols, dest_cols, occupied)
 
-    def free_dest(r: int) -> Vertex:
-        for c in dest_cols:
-            w = Vertex(r, c)
-            if w not in taken:
-                return w
-        raise SolverInvariantError(f"no free destination entry in row {r}")
+    def end(r: int) -> Vertex:
+        # each destination row takes one endpoint, so its first free
+        # entry cannot have been claimed by another path
+        w = _free_dest(r, dest_cols, occupied)
+        if w is None:
+            raise SolverInvariantError(f"no free destination entry in row {r}")
+        return w
 
     out: dict[Vertex, list[Vertex]] = {}
-    for r in sorted(rows):
-        plain = [Vertex(r, c) for c in block_cols
-                 if Vertex(r, c) in occupied and Vertex(r, c) not in anchors]
-        if not plain:
-            continue
-        if len(plain) == 1:
-            x = plain[0]
-            w = free_dest(r)
-            out[x] = [x, w]
-            taken.add(w)
-        else:
-            spare = matching.get(r)
-            if spare is None:
-                raise SolverInvariantError(f"doubled row {r} missing from the matching")
-            x1, x2 = plain
-            if Vertex(spare, x1[1]) not in taken:
-                detour, direct = x1, x2
-            elif Vertex(spare, x2[1]) not in taken:
-                detour, direct = x2, x1
-            else:
+    for r, plain in plain_rows.items():
+        spare = matching.get(r)
+        if spare is not None:
+            detour = next((x for x in plain if Vertex(spare, x[1]) not in occupied), None)
+            if detour is None:
                 raise SolverInvariantError(f"spare row {spare} has no free block entry")
-            via = Vertex(spare, detour[1])
-            w1 = free_dest(spare)
-            out[detour] = [detour, via, w1]
-            taken.update((via, w1))
-            w2 = free_dest(r)
-            out[direct] = [direct, w2]
-            taken.add(w2)
+            out[detour] = [detour, Vertex(spare, detour[1]), end(spare)]
+            plain = [x for x in plain if x != detour]
+        elif len(plain) > 1:
+            raise SolverInvariantError(f"doubled row {r} missing from the matching")
+        for x in plain:
+            out[x] = [x, end(r)]
     return out
 
 
@@ -390,55 +403,37 @@ def _escape_path(rows, block_cols, rest_cols, start: Vertex, partner: Vertex,
     return path
 
 
-def _subgrid(rows, cols) -> Subgrid:
-    return Subgrid(ProductGraph(max(rows), max(cols)), rows, cols)
-
-
 def _base_single_row(rows, pairs):
     return SingleRowStep(rows[0], {idx: (s, t) for s, t, idx in pairs})
 
 
 def _base_two_rows(rows, cols, pairs):
-    target = rows[1]
-    terminals = sorted(v for s, t, _ in pairs for v in (s, t))
-    goal = [Vertex(target, c) for c in cols]
-    ps = disjoint_paths(_subgrid(rows, cols), terminals, goal, (), len(terminals))
-    if ps is None:
-        raise SolverInvariantError("two-row relocation infeasible; contradicts connectivity")
-    stub = {p[0]: list(p) for p in ps}
-    if set(stub) != set(terminals):
-        raise SolverInvariantError("two-row relocation missed a terminal")
+    # flipped, the top row is a one-column block drained into the target
+    # row; 2k <= len(cols) terminals leave at least as many columns with
+    # both cells free as columns with both cells taken, so every top
+    # terminal facing a taken cell finds a free column to detour through
+    top, target = rows
+    terminals = [v for s, t, _ in pairs for v in (s, t)]
+    drained = drain_block(cols, (top,), (target,), {flip(v) for v in terminals}, ())
+    stub = {v: [v] for v in terminals}
+    for x, path in drained.items():
+        stub[flip(x)] = [flip(w) for w in path]
     return TwoRowsStep(target, {idx: tuple(stub[s] + stub[t][::-1]) for s, t, idx in pairs})
 
 
 def _case_line_pair(rows, cols, pairs, chosen):
+    # each other terminal of the column hops across its own row; one whose
+    # row is full detours through a spare row, and counting terminals
+    # against 2k <= d1' + d2' (with d2' >= 2) leaves enough spare rows
     s1, t1, i1 = chosen
     col0 = s1[1]
-    anchors = {s1, t1}
     occupied = {v for s, t, _ in pairs for v in (s, t)}
-    movers = sorted(v for v in occupied if v[1] == col0 and v not in anchors)
-    staying = sorted(v for v in occupied if v[1] != col0)
     rest_cols = tuple(c for c in cols if c != col0)
+    drained = drain_block(rows, (col0,), rest_cols, occupied, (s1, t1))
     moves = _Moves(occupied)
-    if movers:
-        # movers sit on distinct rows, so one hop across each row to its
-        # first free cell gives pairwise disjoint paths with no interior
-        hops = [next((Vertex(x[0], c) for c in rest_cols if Vertex(x[0], c) not in occupied),
-                     None) for x in movers]
-        if None in hops:
-            # some mover's row is full outside the column: relocate by flow
-            free = [Vertex(r, c) for r in rows for c in rest_cols
-                    if Vertex(r, c) not in occupied]
-            if len(free) < len(movers):
-                raise SolverInvariantError("not enough free entries outside the column")
-            ps = disjoint_paths(_subgrid(rows, cols), movers, free,
-                                staying + sorted(anchors), len(movers))
-            if ps is None:
-                raise SolverInvariantError("column evacuation infeasible; contradicts connectivity")
-        else:
-            ps = [[x, w] for x, w in zip(movers, hops)]
-        for p in ps:
-            moves.apply(p[0], p)
+    for x, path in drained.items():
+        moves.apply(x, path)
+    staying = sorted(v for v in occupied if v[1] != col0)
     rec_pairs = []
     stubs = {}
     for s, t, idx in pairs:
@@ -448,7 +443,7 @@ def _case_line_pair(rows, cols, pairs, chosen):
         stub_s, stub_t = moves.stub(s), moves.stub(t)
         if stub_s is not None or stub_t is not None:
             stubs[idx] = (stub_s, stub_t)
-    step = LinePairStep(i1, col0, (s1, t1), tuple(movers), tuple(staying), stubs)
+    step = LinePairStep(i1, col0, (s1, t1), tuple(sorted(drained)), tuple(staying), stubs)
     return step, (rows, rest_cols, rec_pairs)
 
 
@@ -518,8 +513,9 @@ def _case_two_columns(rows, cols, pairs):
                 mover_set = set(movers)
                 forb = sorted(v for v in occupied
                               if v[1] in block_set and v[0] != bend and v not in mover_set)
-                ps = disjoint_paths(_subgrid(net_rows, block_cols), movers, free,
-                                    forb, len(movers))
+                net = Subgrid(ProductGraph(max(net_rows), max(block_cols)),
+                              net_rows, block_cols)
+                ps = disjoint_paths(net, movers, free, forb, len(movers))
                 if ps is None:
                     raise SolverInvariantError("in-block relocation infeasible")
                 for p in ps:
@@ -553,7 +549,7 @@ def _case_two_columns(rows, cols, pairs):
             for r in low_rows:
                 if all(Vertex(r, c) in occupied for c in rest_cols):
                     raise SolverInvariantError("destination row saturated after relabeling")
-            matching = doubled_row_matching(low_rows, block_cols, occupied, anchors)
+            matching = doubled_row_matching(low_rows, block_cols, rest_cols, occupied, anchors)
             drained = drain_block(low_rows, block_cols, rest_cols, occupied, anchors, matching)
             for cur in sorted(drained):
                 path = drained[cur]
@@ -591,7 +587,8 @@ def _transpose(rows, cols, pairs, reason):
 def _next_step(rows, cols, pairs, retransposed):
     """The case step for this problem and the smaller problem it leaves
     (None after a base case)."""
-    if len(rows) > 2 >= len(cols):
+    if len(rows) > 2 >= len(cols) or len(rows) > 1 == len(cols):
+        # a lone column, even of two cells, is routed as a row clique
         return _transpose(rows, cols, pairs, "narrow-side-first")
     if len(rows) == 1:
         return _base_single_row(rows, pairs), None

@@ -4,12 +4,14 @@ import itertools
 import random
 import time
 
-from rooklink import (LinkageProblem, ProductGraph, Vertex, all_pairings,
-                      connectivity, doubled_row_matching, drain_block,
-                      exhaustive_solve, find_infeasible_pairing,
-                      max_guaranteed_pairs, random_pairing, render_trace,
-                      replay, routing_margin_holds, serialize_linkage, solve,
-                      verify)
+import pytest
+
+from rooklink import (LinkageProblem, ProductGraph, SolverInvariantError,
+                      Vertex, all_pairings, connectivity,
+                      doubled_row_matching, drain_block, exhaustive_solve,
+                      find_infeasible_pairing, max_guaranteed_pairs,
+                      random_pairing, render_trace, replay,
+                      routing_margin_holds, serialize_linkage, solve, verify)
 from rooklink.cli import main
 
 V = Vertex
@@ -114,37 +116,55 @@ def test_criterion_6_counting_guards(capsys):
 
     rng = random.Random(66)
     rows_pool = list(range(1, 9))
+    dest_cols = (2, 3, 4)
+    drains = 0
     for _ in range(1000):
         height = rng.randint(2, 8)
         rows = tuple(sorted(rng.sample(rows_pool, height)))
-        block_cols = (0, 1)
+        # a two-column block models the two-column case, whose destination
+        # rows always have room; a one-column block models a line pair's
+        # column (or the two-row base case), where destination rows may be
+        # full and send their lone terminal through a spare row
+        block_cols = rng.choice(((0, 1), (0,)))
         cells = [V(r, c) for r in rows for c in block_cols]
-        # anchors model an already-routed pair spanning the two columns on
-        # distinct rows; same-row anchors would have been an adjacent pair
+        # anchors model an already-routed pair on distinct rows
         anchors = set()
         n_anchors = rng.randint(0, 2)
         if n_anchors >= 1:
             anchors.add(V(rng.choice(rows), block_cols[0]))
         if n_anchors == 2:
             other_rows = [r for r in rows if V(r, block_cols[0]) not in anchors]
-            anchors.add(V(rng.choice(other_rows), block_cols[1]))
+            anchors.add(V(rng.choice(other_rows), block_cols[-1]))
         pool = [v for v in cells if v not in anchors]
         plain = set(rng.sample(pool, rng.randint(0, min(height, len(pool)))))
         occupied = anchors | plain
-        matching = doubled_row_matching(rows, block_cols, occupied, anchors)
-        assert len(set(matching.values())) == len(matching), "matching not injective"
-        for src, dst in matching.items():
-            assert all(V(src, c) in plain for c in block_cols)
-            assert all(V(dst, c) not in plain for c in block_cols)
-
-        dest_cols = (2, 3, 4)
-        dest_cells = [V(r, c) for r in rows for c in dest_cols]
         dest_terms = set()
         for r in rows:
             row_cells = [V(r, c) for c in dest_cols]
-            dest_terms.update(rng.sample(row_cells, rng.randint(0, len(dest_cols) - 1)))
+            if len(block_cols) == 2:
+                n_dest = rng.randint(0, len(dest_cols) - 1)
+            else:
+                n_dest = rng.choice((0, 0, len(dest_cols)))
+            dest_terms.update(rng.sample(row_cells, n_dest))
         full_occ = occupied | dest_terms
+        full_rows = {r for r in rows if all(V(r, c) in dest_terms for c in dest_cols)}
+        in_row = {r: sum(1 for c in block_cols if V(r, c) in plain) for r in rows}
+        needy = {r for r in rows if in_row[r] == 2 or (in_row[r] == 1 and r in full_rows)}
+        spare = {r for r in rows if in_row[r] == 0 and r not in full_rows
+                 and any(V(r, c) not in occupied for c in block_cols)}
+        if len(block_cols) == 1 and len(full_occ) <= height - 1 + len(dest_cols):
+            # the counting argument of the line-pair and two-row cases
+            assert len(needy) <= len(spare), "spare rows run out within the bound"
+        if len(needy) > len(spare):
+            with pytest.raises(SolverInvariantError):
+                doubled_row_matching(rows, block_cols, dest_cols, full_occ, anchors)
+            continue
+        matching = doubled_row_matching(rows, block_cols, dest_cols, full_occ, anchors)
+        assert len(set(matching.values())) == len(matching), "matching not injective"
+        assert set(matching) == needy and set(matching.values()) <= spare
+
         out = drain_block(rows, block_cols, dest_cols, full_occ, anchors)
+        drains += 1
         assert set(out) == plain
         used = set()
         for x, path in out.items():
@@ -156,8 +176,8 @@ def test_criterion_6_counting_guards(capsys):
                 assert v not in used, "routes collide"
                 used.add(v)
         assert len({p[-1][0] for p in out.values()}) == len(out)
-    _announce(capsys, "ACCEPTANCE 6 PASS: counting margin (x,y<=100), 1000 row"
-                      " matchings, and block drains all hold")
+    _announce(capsys, f"ACCEPTANCE 6 PASS: counting margin (x,y<=100), 1000 row"
+                      f" matchings, and {drains} block drains all hold")
 
 
 def test_criterion_7_large_instance_under_five_seconds(capsys):

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from rooklink import (InstanceFormatError, ProductGraph, Vertex,
-                      parse_instance, parse_linkage, serialize_instance,
-                      serialize_linkage)
+import rooklink.cli
+from rooklink import (InstanceFormatError, ProductGraph, SolverInvariantError,
+                      SolverTrace, Vertex, parse_instance, parse_linkage,
+                      serialize_instance, serialize_linkage)
 from rooklink.cli import main
+from rooklink.solver import TransposeStep
 
 V = Vertex
 
@@ -80,6 +87,35 @@ class TestCliSolve:
         assert main(["solve", inst, "--trace"]) == 0
         out = capsys.readouterr().out
         assert "path 1:" in out and "step 1:" in out
+
+    def test_internal_error_exits_4_with_its_trace(self, tmp_path, capsys, monkeypatch):
+        def broken(problem):
+            raise SolverInvariantError("boom", SolverTrace((TransposeStep("test"),)))
+
+        monkeypatch.setattr(rooklink.cli, "solve", broken)
+        inst = write(tmp_path, "a.txt", "dims 2 3\npair 0 0 2 1\n")
+        assert main(["solve", inst]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: boom\nstep 1: transpose reason=test\n"
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # the reader of stdout is gone before anything is written, as when
+        # `rooklink solve big.txt --trace | head -1` stops reading early
+        inst = write(tmp_path, "a.txt", "dims 2 3\npair 0 0 2 1\npair 1 2 0 3\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rooklink.cli", "solve", inst, "--trace"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141
 
 
 class TestCliVerify:

@@ -16,12 +16,12 @@ class TestDisjointPaths:
     def test_direct_edge_in_row_clique(self):
         sub = Subgrid(ProductGraph(0, 2), (0,), (0, 1, 2))
         ps = disjoint_paths(sub, [Vertex(0, 0)], [Vertex(0, 2)], (), 1)
-        assert ps.paths == [[Vertex(0, 0), Vertex(0, 2)]]
+        assert ps == [[Vertex(0, 0), Vertex(0, 2)]]
 
     def test_endpoint_in_both_sets(self):
         sub = full(2, 2)
         ps = disjoint_paths(sub, [Vertex(1, 1)], [Vertex(1, 1)], (), 1)
-        assert ps.paths == [[Vertex(1, 1)]]
+        assert ps == [[Vertex(1, 1)]]
 
     def test_five_disjoint_paths_between_any_five_sets(self):
         # the 3x4 grid is 5-connected, so any disjoint 5-sets are joinable
@@ -33,7 +33,7 @@ class TestDisjointPaths:
             a_set, b_set = picked[:5], picked[5:]
             ps = disjoint_paths(sub, a_set, b_set, (), 5)
             assert ps is not None
-            check_ab_system(sub, ps.paths, a_set, b_set)
+            check_ab_system(sub, ps, a_set, b_set)
 
     def test_k_too_large_is_contract_error(self):
         sub = full(1, 1)
@@ -57,14 +57,14 @@ class TestDisjointPaths:
         args = ([Vertex(0, 0), Vertex(1, 0)], [Vertex(2, 3), Vertex(0, 2)], [Vertex(1, 2)], 2)
         first = disjoint_paths(sub, *args)
         second = disjoint_paths(sub, *args)
-        assert first.paths == second.paths
+        assert first == second
 
     def test_lexicographically_smallest_starts_kept(self):
         sub = full(2, 2)
         a_set = [Vertex(0, 0), Vertex(1, 0), Vertex(2, 0)]
         b_set = [Vertex(0, 2), Vertex(1, 2), Vertex(2, 2)]
         ps = disjoint_paths(sub, a_set, b_set, (), 2)
-        assert [p[0] for p in ps.paths] == [Vertex(0, 0), Vertex(1, 0)]
+        assert [p[0] for p in ps] == [Vertex(0, 0), Vertex(1, 0)]
 
 
 @st.composite
@@ -91,7 +91,7 @@ class TestFlowProperties:
         assert (ps is not None) == expected
         if ps is not None:
             assert len(ps) == k
-            check_ab_system(sub, ps.paths, a_set, b_set, forbidden)
+            check_ab_system(sub, ps, a_set, b_set, forbidden)
 
     @settings(deadline=None, max_examples=60)
     @given(flow_instances(), st.data())

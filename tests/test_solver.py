@@ -13,7 +13,7 @@ from rooklink import (LinkageProblem, ProblemContractError, ProductGraph,
                       max_guaranteed_pairs, random_pairing, render_trace,
                       replay, routing_margin_holds, solve, verify)
 import rooklink.solver
-from rooklink.solver import LinePairStep, TransposeStep, TwoColumnStep
+from rooklink.solver import LinePairStep, TransposeStep, TwoColumnStep, TwoRowsStep
 
 V = Vertex
 
@@ -21,6 +21,10 @@ V = Vertex
 def problem(d1, d2, *pairs):
     return LinkageProblem(ProductGraph(d1, d2),
                           tuple((V(*s), V(*t)) for s, t in pairs))
+
+
+def _no_flow(*args, **kwargs):
+    raise AssertionError("the solver called the max-flow engine")
 
 
 def solve_and_check(p):
@@ -68,6 +72,21 @@ class TestTwoRowBase:
         p = problem(1, 1, ((0, 0), (1, 1)))
         solve_and_check(p)
 
+    def test_doubled_column_detours_through_an_empty_column(self, monkeypatch):
+        # (0, 0) cannot step down onto (1, 0), so it walks along the top row
+        # to the empty column 3 and down it, with no flow call
+        monkeypatch.setattr(rooklink.solver, "disjoint_paths", _no_flow)
+        p = problem(1, 3, ((0, 0), (1, 1)), ((1, 0), (0, 2)))
+        link, trace = solve_and_check(p)
+        assert isinstance(trace.steps[0], TwoRowsStep)
+        assert link.paths == ((V(0, 0), V(0, 3), V(1, 3), V(1, 1)),
+                              (V(1, 0), V(1, 2), V(0, 2)))
+
+    def test_two_cell_column_is_an_edge(self):
+        # a 2 x 1 board is a clique on two cells and links its one pair
+        link, _ = solve_and_check(problem(1, 0, ((0, 0), (1, 0))))
+        assert link.paths == ((V(0, 0), V(1, 0)),)
+
 
 class TestPairInColumn:
     def test_empty_column_rest(self):
@@ -108,24 +127,15 @@ class TestPairInColumn:
             assert len(stubs[x]) == 2 and stubs[x][1][0] == x[0]
         assert stubs[V(1, 0)] == (V(1, 0), V(1, 2))  # (1, 1) holds a terminal
 
-    def test_full_row_falls_back_to_flow(self, monkeypatch):
-        # the mover (2, 0) finds row 2 full outside column 0, so the column
-        # is evacuated by a flow relocation instead of a hop
-        sources = []
-        flow = rooklink.solver.disjoint_paths
-
-        def recording(s, a_set, *args):
-            sources.append(list(a_set))
-            return flow(s, a_set, *args)
-
-        monkeypatch.setattr(rooklink.solver, "disjoint_paths", recording)
+    def test_full_row_detours_through_a_spare_row(self, monkeypatch):
+        # the mover (2, 0) finds row 2 full outside column 0, so it steps
+        # down the column into spare row 3 and across it, with no flow call
+        monkeypatch.setattr(rooklink.solver, "disjoint_paths", _no_flow)
         p = problem(4, 2, ((0, 0), (1, 0)), ((2, 0), (2, 1)), ((2, 2), (4, 1)))
         _, trace = solve_and_check(p)
         step = trace.steps[0]
         assert isinstance(step, LinePairStep) and step.moved == (V(2, 0),)
-        assert sources[0] == [V(2, 0)]
-        stub = step.stubs[1][0]
-        assert stub[0] == V(2, 0) and stub[-1][0] != 2
+        assert step.stubs[1][0] == (V(2, 0), V(3, 0), V(3, 1))
 
 
 class TestBridge:
@@ -153,23 +163,23 @@ class TestBridge:
 class TestDoubledRowMatching:
     def test_lowest_label_assignment(self):
         occupied = {V(1, 0), V(1, 1), V(2, 0), V(2, 1)}
-        m = doubled_row_matching((1, 2, 3, 4), (0, 1), occupied, set())
+        m = doubled_row_matching((1, 2, 3, 4), (0, 1), (2, 3), occupied, set())
         assert m == {1: 3, 2: 4}
 
     def test_no_doubled_rows(self):
         occupied = {V(1, 0), V(3, 1)}
-        assert doubled_row_matching((1, 2, 3), (0, 1), occupied, set()) == {}
+        assert doubled_row_matching((1, 2, 3), (0, 1), (2, 3), occupied, set()) == {}
 
     def test_counting_bound(self):
         # four plain terminals on four rows leave exactly two spare rows
         occupied = {V(1, 0), V(1, 1), V(2, 0), V(2, 1)}
-        m = doubled_row_matching((1, 2, 3, 4), (0, 1), occupied, set())
+        m = doubled_row_matching((1, 2, 3, 4), (0, 1), (2, 3), occupied, set())
         assert len(m) == 2
 
     def test_anchor_rows_are_spare(self):
         anchors = {V(3, 0)}
         occupied = {V(1, 0), V(1, 1), V(3, 0)}
-        m = doubled_row_matching((1, 2, 3), (0, 1), occupied, anchors)
+        m = doubled_row_matching((1, 2, 3), (0, 1), (2, 3), occupied, anchors)
         assert m == {1: 2}
 
 
@@ -186,15 +196,29 @@ class TestDrainBlock:
         assert out[V(2, 1)] == [V(2, 1), V(2, 2)]
 
     def test_endpoints_land_in_distinct_rows(self):
+        # one- and two-column blocks; up to two destination rows are full,
+        # which sends their lone terminals through spare rows as well
         rng = random.Random(11)
         rows = (0, 1, 2, 3, 4, 5)
-        block_cols = (0, 1)
         dest_cols = (2, 3, 4)
         for _ in range(300):
+            block_cols = rng.choice(((0, 1), (0,)))
             cells = [V(r, c) for r in rows for c in block_cols]
-            occupied = set(rng.sample(cells, rng.randint(1, len(rows))))
+            block = set(rng.sample(cells, rng.randint(1, len(rows))))
+            full = set(rng.sample(rows, rng.randint(0, 2)))
+            occupied = block | {V(r, c) for r in full for c in dest_cols}
+            per_row = [sum(1 for x in block if x[0] == r) for r in rows]
+            needy = sum(1 for r, n in zip(rows, per_row) if n == 2 or (n == 1 and r in full))
+            spare = sum(1 for r, n in zip(rows, per_row) if n == 0 and r not in full)
+            # a doubled row sends one terminal straight across, so its own
+            # destination row must have room
+            stuck = any(n == 2 and r in full for r, n in zip(rows, per_row))
+            if stuck or needy > spare:
+                with pytest.raises(SolverInvariantError):
+                    drain_block(rows, block_cols, dest_cols, occupied, set())
+                continue
             out = drain_block(rows, block_cols, dest_cols, occupied, set())
-            assert set(out) == occupied
+            assert set(out) == block
             ends = [p[-1] for p in out.values()]
             assert len({e[0] for e in ends}) == len(ends)
             used = set()
