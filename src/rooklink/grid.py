@@ -14,6 +14,7 @@ computed from coordinates and never stored as an edge list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -83,7 +84,9 @@ class ProductGraph:
         self.require(v)
         return self.d1 + self.d2
 
+    @lru_cache(maxsize=64)
     def subgrid(self) -> "Subgrid":
+        """The whole grid as a Subgrid, built once per board size and shared."""
         return Subgrid(self, tuple(range(self.n_rows)), tuple(range(self.n_cols)))
 
 

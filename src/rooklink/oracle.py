@@ -4,7 +4,11 @@ verify checks a claimed linkage against first principles (endpoints,
 adjacency, simplicity, disjointness, activity) and reports the first
 violation it finds.  exhaustive_solve is a complete backtracking search
 for a linkage, with visited-set pruning and a reachability cut; it is
-the oracle the solver is cross-checked against.  find_infeasible_pairing
+the oracle the solver is cross-checked against.  Each board is compiled
+once into a cached table (vertices in lexicographic order, neighbour
+sets as int bitmasks), and the search is an iterative depth-first
+search over that table, so witness length is not bounded by the
+recursion limit.  find_infeasible_pairing
 is the one sweep engine: it feeds a stream of instances (the corner-fixed
 enumeration or a seeded sample) to exhaustive_solve under one node
 budget and stops at the first certified infeasible pairing; is_k_linked
@@ -14,13 +18,13 @@ engine.
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice
 import random
 
-from .grid import ProductGraph, Subgrid, Vertex
+from .grid import ProductGraph, Vertex
 from .problem import Linkage, LinkageProblem
 
 
@@ -60,10 +64,6 @@ class SharpnessResult:
     nodes_explored: int
 
 
-class _Budget(Exception):
-    pass
-
-
 def verify(problem: LinkageProblem, linkage: Linkage) -> VerifyReport:
     """Check a linkage against the problem; names the first violation."""
     sub = problem.subgrid
@@ -93,104 +93,118 @@ def verify(problem: LinkageProblem, linkage: Linkage) -> VerifyReport:
     return VerifyReport(True)
 
 
-def _route_score(sub: Subgrid, s: Vertex, t: Vertex, terminals: set[Vertex]) -> int:
-    """Crude count of short internally-disjoint s-t routes (fail-first key)."""
-    score = 0
-    if s != t and (s[0] == t[0] or s[1] == t[1]):
-        score += 1
-    for w in sub.neighbors(s):
-        if w != t and w in sub.neighbors(t) and w not in terminals:
-            score += 1
-    return score
+@lru_cache(maxsize=64)
+def _board(rows: tuple[int, ...], cols: tuple[int, ...]):
+    """The board table of one label set, built once and shared.
+
+    Vertices are listed in lexicographic order; vertex i's neighbours are
+    the set bits of masks[i], so walking them from the lowest bit up
+    visits them in that same order.
+    """
+    verts = tuple(Vertex(r, c) for r in rows for c in cols)
+    index = {v: i for i, v in enumerate(verts)}
+    row_masks = {r: sum(1 << index[Vertex(r, c)] for c in cols) for r in rows}
+    col_masks = {c: sum(1 << index[Vertex(r, c)] for r in rows) for c in cols}
+    masks = tuple((row_masks[r] | col_masks[c]) ^ (1 << i) for i, (r, c) in enumerate(verts))
+    return verts, index, masks
 
 
 def exhaustive_solve(problem: LinkageProblem, node_budget: int | None = None) -> Verdict:
     """Backtracking search for a linkage; complete on small grids.
 
     Paths are grown one vertex at a time in fixed pair order (hardest
-    pair first), with terminals of other pairs excluded and a
-    reachability cut: every pending pair must stay connected in what is
-    left of the grid.
+    pair first: fewest short routes), with terminals of other pairs
+    excluded and a reachability cut: every pending pair must stay
+    connected in what is left of the grid.  The search runs on the
+    board's cached table (_board): vertices are indices, vertex sets
+    are int bitmasks, and the depth-first search keeps its own stack,
+    so path length is not limited by the recursion limit.  Neighbours
+    are tried in lexicographic order; nodes_explored counts every
+    vertex the search appends to a path, pair starts included.
     """
-    sub = problem.subgrid
-    pairs = list(problem.pairs)
+    pairs = problem.pairs
     k = len(pairs)
     if k == 0:
         return Verdict(True, Linkage(()), 0)
-    terminals = {v for pair in pairs for v in pair}
-    order = sorted(range(k), key=lambda i: (_route_score(sub, *pairs[i], terminals), i))
-    neighbor_cache = {v: sorted(sub.neighbors(v)) for v in sub.vertices()}
-    nodes = 0
-    used: set[Vertex] = set()
-    solution: dict[int, list[Vertex]] = {}
+    sub = problem.subgrid
+    verts, index, masks = _board(sub.rows, sub.cols)
+    ends = [(index[s], index[t]) for s, t in pairs]
+    terminals = 0
+    for s, t in ends:
+        terminals |= 1 << s | 1 << t
 
-    def reachable(a: Vertex, b: Vertex, blocked: set[Vertex]) -> bool:
-        if a == b:
-            return True
-        seen = {a}
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            for w in neighbor_cache[u]:
-                if w == b:
-                    return True
-                if w not in seen and w not in blocked:
-                    seen.add(w)
-                    queue.append(w)
-        return False
+    def route_score(i: int) -> int:
+        s, t = ends[i]
+        return (masks[s] >> t & 1) + (masks[s] & masks[t] & ~terminals).bit_count()
 
-    def pending_ok(pos: int) -> bool:
-        for j in order[pos:]:
-            sj, tj = pairs[j]
-            blocked = used | (terminals - {sj, tj})
-            if not reachable(sj, tj, blocked):
+    order = sorted(range(k), key=route_score)  # stable: ties keep pair order
+    src = [ends[i][0] for i in order]
+    dst = [ends[i][1] for i in order]
+
+    def pending_ok(pos: int, used: int) -> bool:
+        for s, t in zip(src[pos:], dst[pos:]):
+            goal = 1 << t
+            seen = frontier = 1 << s
+            closed = used | (terminals ^ goal)  # s is closed too, but already seen
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= masks[low.bit_length() - 1]
+                    frontier ^= low
+                if reach & goal:
+                    break
+                frontier = reach & ~(closed | seen)
+                seen |= frontier
+            else:
                 return False
         return True
 
-    def grow(pos: int, path: list[Vertex]) -> bool:
-        nonlocal nodes
+    if not pending_ok(0, 0):
+        return Verdict(False, None, 0)
+    nodes = 0
+    used = 0
+    path: list[int] = []  # every path so far, back to back, in search order
+    untried: list[int] = []  # per path vertex: neighbours still to try
+    pos = 0
+    v = src[0]
+    while True:
         nodes += 1
         if node_budget is not None and nodes > node_budget:
-            raise _Budget
-        idx = order[pos]
-        target = pairs[idx][1]
-        head = path[-1]
-        if head == target:
-            solution[idx] = list(path)
-            if pos + 1 == k:
-                return True
-            if pending_ok(pos + 1) and start(pos + 1):
-                return True
-            del solution[idx]
-            return False
-        for w in neighbor_cache[head]:
-            if w in used:
+            return Verdict(None, None, nodes)
+        used |= 1 << v
+        path.append(v)
+        if v != dst[pos]:
+            untried.append(masks[v] & ~(used | (terminals ^ 1 << dst[pos])))
+        elif pos + 1 == k:
+            break
+        else:
+            untried.append(0)
+            if pending_ok(pos + 1, used):
+                pos += 1
+                v = src[pos]
                 continue
-            if w in terminals and w != target:
-                continue
-            used.add(w)
-            path.append(w)
-            ok = grow(pos, path)
-            path.pop()
-            used.remove(w)
-            if ok:
-                return True
-        return False
-
-    def start(pos: int) -> bool:
-        s = pairs[order[pos]][0]
-        used.add(s)
-        ok = grow(pos, [s])
-        used.remove(s)
-        return ok
-
-    try:
-        if pending_ok(0) and start(0):
-            witness = Linkage(tuple(tuple(solution[i]) for i in range(k)))
-            return Verdict(True, witness, nodes)
-        return Verdict(False, None, nodes)
-    except _Budget:
-        return Verdict(None, None, nodes)
+        # backtrack to the deepest vertex with a neighbour left to try;
+        # undoing a pair's start resumes the previous pair at its target,
+        # which has none, so the search unwinds into that pair's path
+        while not untried[-1]:
+            untried.pop()
+            u = path.pop()
+            used ^= 1 << u
+            if u == src[pos]:
+                if pos == 0:
+                    return Verdict(False, None, nodes)
+                pos -= 1
+        low = untried[-1] & -untried[-1]
+        untried[-1] ^= low
+        v = low.bit_length() - 1
+    paths: list[tuple[Vertex, ...]] = [()] * k
+    cut = 0
+    for i, t in zip(order, dst):
+        end = path.index(t, cut) + 1
+        paths[i] = tuple(verts[u] for u in path[cut:end])
+        cut = end
+    return Verdict(True, Linkage(tuple(paths)), nodes)
 
 
 def all_pairings(items):

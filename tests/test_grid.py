@@ -82,6 +82,13 @@ class TestRestrict:
         sub = ProductGraph(2, 3).subgrid()
         assert sub.restrict() == sub
 
+    def test_full_subgrid_is_built_once(self):
+        g = ProductGraph(2, 3)
+        sub = g.subgrid()
+        assert ProductGraph(2, 3).subgrid() is sub
+        assert sub == Subgrid(g, (0, 1, 2), (0, 1, 2, 3)) and sub.base == g
+        assert ProductGraph(3, 2).subgrid() == sub.transpose()
+
     def test_column_block_minus_row(self):
         block = ProductGraph(2, 3).subgrid().restrict(remove_cols={2, 3})
         small = block.restrict(remove_rows={0})

@@ -161,6 +161,16 @@ class TestCliOracle:
         assert "indeterminate" in capsys.readouterr().out
 
 
+    def test_long_witness_needs_no_deep_recursion(self, tmp_path, capsys):
+        # a single pair across a 40x40 board: the search snakes through
+        # 1,561 cells, far deeper than the default recursion limit
+        inst = write(tmp_path, "a.txt", "dims 39 39\npair 0 0 39 39\n")
+        assert main(["oracle", inst]) == 0
+        head, _, linkage = capsys.readouterr().out.partition("\n")
+        assert head == "feasible (1561 nodes)"
+        assert main(["verify", inst, write(tmp_path, "a.out", linkage)]) == 0
+
+
 class TestCliConnectivity:
     @pytest.mark.parametrize("d1,d2,expected", [(2, 3, 5), (1, 1, 2), (0, 3, 3)])
     def test_values(self, capsys, d1, d2, expected):

@@ -1,12 +1,15 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rooklink import (Linkage, LinkageProblem, ProductGraph, Vertex,
+import rooklink.oracle
+from rooklink import (Linkage, LinkageProblem, ProductGraph, Subgrid, Vertex,
                       all_pairings, exhaustive_solve, find_infeasible_pairing,
-                      is_k_linked, verify)
+                      is_k_linked, random_pairing, verify)
 
 V = Vertex
 
@@ -123,6 +126,49 @@ class TestExhaustiveSolve:
         assert (a.feasible, a.nodes_explored) == (b.feasible, b.nodes_explored)
         assert a.witness == b.witness
 
+    def test_seeded_mix_matches_recorded_digest(self):
+        # verdicts, node counts and witnesses of a seeded mix of subgrid
+        # problems under three budgets, hashed; the digest was recorded
+        # from the recursive set-based search this one replaced
+        rng = random.Random(5)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            n_rows, n_cols = rng.randint(1, 4), rng.randint(2, 5)
+            rows = tuple(sorted(rng.sample(range(7), n_rows)))
+            cols = tuple(sorted(rng.sample(range(7), n_cols)))
+            sub = Subgrid(ProductGraph(6, 6), rows, cols)
+            verts = sorted(sub.vertices())
+            k = rng.randint(1, min(5, len(verts) // 2))
+            p = LinkageProblem(sub, tuple(random_pairing(rng.sample(verts, 2 * k), rng)))
+            for budget in (None, 5, 50):
+                v = exhaustive_solve(p, budget)
+                digest.update(repr((v.feasible, v.nodes_explored,
+                                    v.witness and v.witness.paths)).encode())
+        assert digest.hexdigest() == (
+            "9edf0c7f9185047d5da1b444f2458dcf191a5bba4cc33188e7b7acdbeb0d44d5")
+
+    def test_labels_do_not_change_the_search(self):
+        rows, cols = (1, 4, 7, 8), (0, 2, 5, 9)
+        sub = Subgrid(ProductGraph(8, 9), rows, cols)
+        plain = ProductGraph(3, 3)
+        verts = sorted(plain.vertices())
+        rng = random.Random(11)
+
+        def relabel(v):
+            return V(rows[v[0]], cols[v[1]])
+
+        for _ in range(60):
+            k = rng.randint(1, 4)
+            pairs = tuple(random_pairing(rng.sample(verts, 2 * k), rng))
+            a = exhaustive_solve(LinkageProblem(plain, pairs))
+            q = LinkageProblem(sub, tuple((relabel(s), relabel(t)) for s, t in pairs))
+            b = exhaustive_solve(q)
+            assert (b.feasible, b.nodes_explored) == (a.feasible, a.nodes_explored)
+            if a.feasible:
+                assert verify(q, b.witness).ok
+                assert b.witness.paths == tuple(tuple(map(relabel, path))
+                                                for path in a.witness.paths)
+
     def test_single_pair_always_feasible_on_connected_grids(self):
         for d1, d2 in [(1, 1), (1, 2), (2, 2), (0, 3)]:
             grid = ProductGraph(d1, d2)
@@ -187,15 +233,37 @@ class TestSharpness:
         assert (find_infeasible_pairing(d1, d2, k, workers=2)
                 == find_infeasible_pairing(d1, d2, k, workers=1))
 
+    @pytest.mark.parametrize("d1,d2,k,checked,nodes,pairing", [
+        (2, 3, 3, 432, 5_358, (((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0)))),
+        (1, 6, 4, 838, 9_291, (((0, 0), (1, 1)), ((0, 1), (1, 0)),
+                               ((0, 2), (0, 3)), ((0, 4), (0, 5)))),
+        (2, 5, 4, 130, 31_193, (((0, 0), (2, 1)), ((0, 1), (2, 0)),
+                                ((1, 0), (2, 4)), ((1, 4), (2, 2)))),
+    ])
+    def test_hunt_counts_are_pinned(self, d1, d2, k, checked, nodes, pairing):
+        res = find_infeasible_pairing(d1, d2, k)
+        assert res.completed
+        assert (res.instances_checked, res.nodes_explored) == (checked, nodes)
+        assert res.found.pairs == pairing
+
+    def test_sweep_calls_the_module_global(self, monkeypatch):
+        calls = []
+        solve = rooklink.oracle.exhaustive_solve
+
+        def counting(problem, node_budget=None):
+            calls.append(problem)
+            return solve(problem, node_budget)
+
+        monkeypatch.setattr(rooklink.oracle, "exhaustive_solve", counting)
+        res = find_infeasible_pairing(2, 3, 3)
+        assert len(calls) == res.instances_checked == 432
+
     def test_zero_pairs_is_trivially_linked(self):
         assert is_k_linked(2, 2, 0) == (True, None)
         res = find_infeasible_pairing(2, 2, 0)
         assert res.found is None and res.completed
 
     def test_random_pairing_rejects_odd_input(self):
-        import random
-
-        from rooklink import random_pairing
         with pytest.raises(ValueError):
             random_pairing([1, 2, 3], random.Random(0))
 
