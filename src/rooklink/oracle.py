@@ -8,12 +8,14 @@ the oracle the solver is cross-checked against.  Each board is compiled
 once into a cached table (vertices in lexicographic order, neighbour
 sets as int bitmasks), and the search is an iterative depth-first
 search over that table, so witness length is not bounded by the
-recursion limit.  find_infeasible_pairing
-is the one sweep engine: it feeds a stream of instances (the corner-fixed
-enumeration or a seeded sample) to exhaustive_solve under one node
-budget and stops at the first certified infeasible pairing; is_k_linked
-is a thin wrapper over it.  Nothing here imports the solver or the flow
-engine.
+recursion limit.  find_infeasible_pairing is the one sweep engine: it
+feeds a stream of instances to exhaustive_solve under one node budget
+and stops at the first certified infeasible pairing.  The exhaustive
+stream holds one pairing per orbit of the board's symmetries (row and
+column permutations, and transposition on square boards), so its
+instance counts are counts of orbit representatives; the other stream
+is a seeded sample.  is_k_linked is a thin wrapper over it.  Nothing
+here imports the solver or the flow engine.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import groupby, islice, permutations
+from math import prod
 import random
 
 from .grid import ProductGraph, Vertex
@@ -241,23 +244,150 @@ def _sweepable(grid: ProductGraph, k: int) -> bool:
 
 def _checked_grid(d1: int, d2: int, k: int) -> ProductGraph:
     grid = ProductGraph(d1, d2)
+    if k < 0:
+        raise ValueError(f"pair count must be non-negative, got {k}")
     if 2 * k > grid.vertex_count:
         raise ValueError("not enough vertices for 2k terminals")
     return grid
 
 
-def _corner_instances(grid: ProductGraph, k: int):
-    """Every pairing of every 2k-set that contains the corner (0, 0).
+def _row_tables(m: int):
+    """Each row permutation of an m-row board, with its image of every column mask.
 
-    Restricting to sets through the lexicographically smallest vertex is
-    sound for linkedness sweeps: row and column permutations act
-    transitively on vertices and preserve linkages, so every terminal
-    set is equivalent to one through the corner.
+    Bit m-1-r of a column mask stands for row r.
     """
-    verts = sorted(grid.vertices())
-    for rest in combinations(verts[1:], 2 * k - 1):
-        for pairing in all_pairings((verts[0],) + rest):
-            yield LinkageProblem(grid, tuple(pairing))
+    return [(p, [sum(1 << m - 1 - p[r] for r in range(m) if mask >> m - 1 - r & 1)
+                 for mask in range(1 << m)])
+            for p in permutations(range(m))]
+
+
+def _views(pattern: tuple[int, ...], m: int):
+    """The pattern, and on a square board its transpose, flagged as such."""
+    views = [(pattern, False)]
+    if m == len(pattern):
+        views.append((tuple(sum(1 << m - 1 - c for c, mask in enumerate(pattern)
+                                if mask >> m - 1 - r & 1) for r in range(m)), True))
+    return views
+
+
+def _patterns(m: int, n: int, cells: int, tables):
+    """One m x n terminal pattern with `cells` cells per orbit, lazily.
+
+    The orbits are those of row and column permutations, and of
+    transposition when m == n.  A pattern is the tuple of its n column
+    masks in descending order, so a column permutation acts on it only
+    through that sort.  The canonical pattern of an orbit is the largest
+    tuple that a row permutation (after the transposition, if square)
+    sorts to.  Candidates are the descending tuples with `cells` bits,
+    and each is yielded when it is canonical.
+    """
+    def canonical(pattern) -> bool:
+        return all(tuple(sorted((table[mask] for mask in view), reverse=True)) <= pattern
+                   for view, _ in _views(pattern, m) for _, table in tables)
+
+    def grow(prefix, top, left):
+        slots = n - len(prefix)
+        if not slots:
+            if canonical(prefix):
+                yield prefix
+            return
+        for mask in range(top, -1, -1):
+            bits = mask.bit_count()
+            if bits <= left <= bits + (slots - 1) * m:
+                yield from grow(prefix + (mask,), mask, left - bits)
+
+    yield from grow((), (1 << m) - 1, cells)
+
+
+def _symmetries(pattern: tuple[int, ...], m: int, tables):
+    """A pattern's cells, and generators of its stabiliser acting on them.
+
+    The cells are (row, column) pairs in lexicographic order, and each
+    generator is a permutation of their indices.  The generators are a
+    swap and a cycle of each run of equal nonempty columns (together
+    they generate every permutation of the run), and one element for
+    each row permutation (after the transposition, if square) that maps
+    the pattern's column masks onto themselves: every symmetry is one of
+    those elements followed by a permutation of equal columns.
+    """
+    n = len(pattern)
+    cells = [(r, c) for r in range(m) for c in range(n) if pattern[c] >> m - 1 - r & 1]
+    index = {cell: i for i, cell in enumerate(cells)}
+    gens = set()
+    start = 0
+    for mask, run in groupby(pattern):
+        end = start + len(list(run)) - 1
+        if mask and end > start:
+            for move in ({start: start + 1, start + 1: start},
+                         {c: c + 1 if c < end else start for c in range(start, end + 1)}):
+                gens.add(tuple(index[r, move.get(c, c)] for r, c in cells))
+        start = end + 1
+    for view, flipped in _views(pattern, m):
+        for p, table in tables:
+            image = [table[mask] for mask in view]
+            if sorted(image, reverse=True) != list(pattern):
+                continue
+            slots: dict[int, list[int]] = {}
+            for c in reversed(range(n)):
+                slots.setdefault(pattern[c], []).append(c)
+            tau = [slots[mask].pop() for mask in image]
+            gens.add(tuple(index[(p[c], tau[r]) if flipped else (p[r], tau[c])]
+                           for r, c in cells))
+    gens.discard(tuple(range(len(cells))))
+    return cells, gens
+
+
+def _pairing_rank(mate: list[int]) -> int:
+    """The position of a pairing of range(len(mate)) in all_pairings
+    order, where mate[i] is the partner of i."""
+    rest = list(range(len(mate)))
+    rank = 0
+    while rest:
+        first = rest.pop(0)
+        i = rest.index(mate[first])
+        rank = rank * len(rest) + i
+        del rest[i]
+    return rank
+
+
+def _orbit_instances(grid: ProductGraph, k: int):
+    """One pairing of 2k terminals per orbit of the board's symmetries, lazily.
+
+    Row permutations, column permutations and, on a square board,
+    transposition map linkages to linkages, so every pairing is
+    feasible exactly when its orbit representative is.  Orbits are
+    enumerated in two stages: the canonical terminal patterns
+    (_patterns), then each pattern's pairings modulo the pattern's
+    stabiliser, keeping the first pairing of each orbit in
+    all_pairings order and marking the rest of that orbit seen.
+    The enumeration runs on the board or its transpose, whichever
+    has fewer rows.
+    """
+    flipped = grid.n_rows > grid.n_cols
+    m, n = sorted((grid.n_rows, grid.n_cols))
+    tables = _row_tables(m)
+    for pattern in _patterns(m, n, 2 * k, tables):
+        cells, gens = _symmetries(pattern, m, tables)
+        verts = [Vertex(c, r) if flipped else Vertex(r, c) for r, c in cells]
+        moves = [(g, sorted(range(2 * k), key=g.__getitem__)) for g in gens]
+        seen = bytearray(prod(range(1, 2 * k, 2)))  # one flag per pairing, by rank
+        for rank, pairing in enumerate(all_pairings(range(2 * k))):
+            if seen[rank]:
+                continue
+            seen[rank] = 1
+            mate = [0] * (2 * k)
+            for a, b in pairing:
+                mate[a], mate[b] = b, a
+            stack = [mate]
+            while stack:
+                mate = stack.pop()
+                for g, inverse in moves:
+                    image = [g[mate[a]] for a in inverse]
+                    image_rank = _pairing_rank(image)
+                    if not seen[image_rank]:
+                        seen[image_rank] = 1
+                        stack.append(image)
+            yield LinkageProblem(grid, tuple((verts[a], verts[b]) for a, b in pairing))
 
 
 def _sampled_instances(grid: ProductGraph, k: int, seed: int, count: int):
@@ -287,15 +417,17 @@ def find_infeasible_pairing(d1: int, d2: int, k: int,
                             workers: int = 1) -> SharpnessResult:
     """Hunt for a pairing of 2k terminals that admits no linkage.
 
-    This is the one sweep engine.  Its instances are either every
-    pairing through the corner vertex (exhaustive; the default when the
-    grid is small enough) or count seeded random pairings.  Each goes to
-    exhaustive_solve, its nodes are charged to node_budget (one budget
-    for the whole sweep), and the hunt stops at the first instance
-    certified infeasible by a completed search.  The result says whether
-    the hunt itself was complete: completed=True with no find means the
-    grid really is k-linked; an exhausted budget or a random sample that
-    came up empty proves nothing.
+    This is the one sweep engine.  Its instances are either one pairing
+    per symmetry orbit (exhaustive, _orbit_instances; the default when
+    the grid is small enough) or count seeded random pairings, and
+    instances_checked counts them: in an exhaustive sweep, orbit
+    representatives.  Each goes to exhaustive_solve, its nodes are
+    charged to node_budget (one budget for the whole sweep), and the
+    hunt stops at the first instance certified infeasible by a completed
+    search.  The result says whether the hunt itself was complete:
+    completed=True with no find means the grid really is k-linked; an
+    exhausted budget or a random sample that came up empty proves
+    nothing.
 
     With workers > 1 and no budget, instances are judged chunkwise by a
     process pool and merged in instance order, so the pairing found
@@ -307,7 +439,7 @@ def find_infeasible_pairing(d1: int, d2: int, k: int,
         return SharpnessResult(None, True, 0, 0)
     if exhaustive is None:
         exhaustive = _sweepable(grid, k)
-    source = (_corner_instances(grid, k) if exhaustive
+    source = (_orbit_instances(grid, k) if exhaustive
               else _sampled_instances(grid, k, seed, count))
     parallel = workers > 1 and node_budget is None
     if parallel:
@@ -339,10 +471,11 @@ def is_k_linked(d1: int, d2: int, k: int, mode: str = "exhaustive",
     """Decide (exhaustively) or probe (sampled) whether the grid is k-linked.
 
     A thin wrapper over find_infeasible_pairing.  Exhaustive mode sweeps
-    every 2k-set through the corner vertex and every pairing; it refuses
-    grids that are too large for that sweep, and a node_budget too small
-    to finish it.  Sampled mode draws seeded random instances and can
-    only ever find counterexamples, never certify linkedness.
+    one pairing of 2k terminals per orbit of the board's symmetries,
+    which covers every pairing; it refuses grids that are too large for
+    that sweep, and a node_budget too small to finish it.  Sampled mode
+    draws seeded random instances and can only ever find
+    counterexamples, never certify linkedness.
     node_budget bounds the nodes of the whole sweep, not of each
     instance.
     """

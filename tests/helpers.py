@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
-from rooklink import Subgrid, Vertex
+from rooklink import LinkageProblem, ProductGraph, Subgrid, Vertex, all_pairings
 
 
 def brute_ab_feasible(sub: Subgrid, a_set, b_set, forbidden, k: int) -> bool:
@@ -109,3 +109,57 @@ def check_ab_system(sub: Subgrid, paths, a_set, b_set, forbidden=()):
             assert v not in aset, f"path meets A at interior vertex {v}"
         for v in path[:-1]:
             assert v not in bset, f"path meets B before its end at {v}"
+
+
+def corner_instances(grid: ProductGraph, k: int):
+    """Reference sweep source: every pairing of every 2k-set through (0, 0).
+
+    Restricting to sets through the lexicographically smallest vertex is
+    sound for linkedness sweeps: row and column permutations act
+    transitively on vertices and preserve linkages, so every terminal
+    set is equivalent to one through the corner.
+    """
+    verts = sorted(grid.vertices())
+    for rest in combinations(verts[1:], 2 * k - 1):
+        for pairing in all_pairings((verts[0],) + rest):
+            yield LinkageProblem(grid, tuple(pairing))
+
+
+def symmetry_tables(grid: ProductGraph):
+    """Every symmetry of the board as a table on pairs of cells.
+
+    The symmetries are the row-and-column permutations and, on a square
+    board, each of them after a transposition; the identity comes first.
+    A cell is r * n_cols + c, an ordered pair of cells (a, b) is
+    a * V + b with V the cell count, and a table maps a pair to its
+    image's code min * V + max, so both orders of a pair map alike.
+    """
+    rows, cols = grid.n_rows, grid.n_cols
+    size = grid.vertex_count
+    tables = []
+    for rp in permutations(range(rows)):
+        for cp in permutations(range(cols)):
+            maps = [[rp[r] * cols + cp[c] for r in range(rows) for c in range(cols)]]
+            if rows == cols:
+                maps.append([rp[c] * cols + cp[r] for r in range(rows) for c in range(cols)])
+            tables += [[min(g[a], g[b]) * size + max(g[a], g[b])
+                        for a in range(size) for b in range(size)] for g in maps]
+    return tables
+
+
+def pairing_images(pairs, grid: ProductGraph, tables):
+    """Yield the pairing's image under each table, as a sorted tuple of
+    pair codes; equal tuples are equal pairings."""
+    cols, size = grid.n_cols, grid.vertex_count
+    codes = [(s[0] * cols + s[1]) * size + t[0] * cols + t[1] for s, t in pairs]
+    for table in tables:
+        yield tuple(sorted([table[c] for c in codes]))
+
+
+def brute_orbit_count(grid: ProductGraph, k: int) -> int:
+    """Orbits of 2k-terminal pairings under the board's symmetries: the
+    number of distinct least images, over the whole group, of the corner
+    pairings (every orbit has one)."""
+    tables = symmetry_tables(grid)
+    return len({min(pairing_images(p.pairs, grid, tables))
+                for p in corner_instances(grid, k)})

@@ -198,8 +198,13 @@ class TestCliSharpness:
     def test_default_k_is_one_above_the_bound_on_even_sums(self, capsys):
         assert main(["sharpness", "2", "2"]) == 0
         out = capsys.readouterr().out
-        assert "3 pairs, 9 pairings checked, 66 nodes" in out
+        assert "3 pairs, 3 pairings checked, 23 nodes" in out
         assert "infeasible pairing found" in out
+
+    def test_negative_pair_count_is_an_input_error(self, capsys):
+        assert main(["sharpness", "2", "2", "--k", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error: pair count must be non-negative, got -1"
 
     def test_budget_exhaustion_exits_3(self, capsys):
         assert main(["sharpness", "2", "3", "--exhaustive", "--budget", "10"]) == 3

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rooklink.oracle
+from helpers import (brute_orbit_count, corner_instances, pairing_images,
+                     symmetry_tables)
 from rooklink import (Linkage, LinkageProblem, ProductGraph, Subgrid, Vertex,
                       all_pairings, exhaustive_solve, find_infeasible_pairing,
                       is_k_linked, random_pairing, verify)
@@ -228,15 +230,15 @@ class TestSharpness:
         assert res.found is not None and res.completed
         assert exhaustive_solve(res.found).feasible is False
 
-    @pytest.mark.parametrize("d1,d2,k", [(1, 2, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("d1,d2,k", [(1, 2, 2), (2, 2, 2), (2, 4, 3)])
     def test_pool_matches_sequential(self, d1, d2, k):
         assert (find_infeasible_pairing(d1, d2, k, workers=2)
                 == find_infeasible_pairing(d1, d2, k, workers=1))
 
     @pytest.mark.parametrize("d1,d2,k,checked,nodes,pairing", [
-        (2, 3, 3, 432, 5_358, (((0, 0), (1, 1)), ((0, 1), (1, 2)), ((0, 2), (1, 0)))),
-        (1, 6, 4, 838, 9_291, (((0, 0), (1, 1)), ((0, 1), (1, 0)),
-                               ((0, 2), (0, 3)), ((0, 4), (0, 5)))),
+        (2, 3, 3, 5, 214, (((0, 0), (1, 1)), ((0, 1), (2, 0)), ((1, 0), (2, 1)))),
+        (1, 6, 4, 11, 656, (((0, 0), (1, 1)), ((0, 1), (1, 0)),
+                            ((0, 2), (1, 3)), ((0, 3), (1, 2)))),
         (2, 5, 4, 130, 31_193, (((0, 0), (2, 1)), ((0, 1), (2, 0)),
                                 ((1, 0), (2, 4)), ((1, 4), (2, 2)))),
     ])
@@ -256,16 +258,81 @@ class TestSharpness:
 
         monkeypatch.setattr(rooklink.oracle, "exhaustive_solve", counting)
         res = find_infeasible_pairing(2, 3, 3)
-        assert len(calls) == res.instances_checked == 432
+        assert len(calls) == res.instances_checked == 5
 
     def test_zero_pairs_is_trivially_linked(self):
         assert is_k_linked(2, 2, 0) == (True, None)
         res = find_infeasible_pairing(2, 2, 0)
         assert res.found is None and res.completed
 
+    def test_negative_pair_count_is_rejected(self):
+        with pytest.raises(ValueError, match="pair count must be non-negative"):
+            find_infeasible_pairing(2, 2, -1)
+        with pytest.raises(ValueError, match="pair count must be non-negative"):
+            is_k_linked(2, 2, -1)
+
     def test_random_pairing_rejects_odd_input(self):
         with pytest.raises(ValueError):
             random_pairing([1, 2, 3], random.Random(0))
+
+
+def _agreement_boards():
+    """Every board with d1 + d2 <= 5, (2,1) among them, at the bound and
+    one pair above it (where 2k terminals fit), plus (1,6) at both."""
+    boards = []
+    for total in range(1, 6):
+        for d1 in range(total + 1):
+            for k in (total // 2, total // 2 + 1):
+                if k and 2 * k <= (d1 + 1) * (total - d1 + 1):
+                    boards.append((d1, total - d1, k))
+    return boards + [(1, 6, 3), (1, 6, 4)]
+
+
+class TestOrbitSweep:
+    @pytest.mark.parametrize("d1,d2,k,orbits", [
+        (1, 1, 2, 2), (1, 2, 2, 8), (2, 1, 2, 8), (2, 2, 2, 11), (2, 2, 3, 28),
+        (1, 4, 3, 31), (2, 3, 3, 139),
+    ])
+    def test_orbit_count_matches_brute_force(self, d1, d2, k, orbits):
+        grid = ProductGraph(d1, d2)
+        assert brute_orbit_count(grid, k) == orbits
+        assert sum(1 for _ in rooklink.oracle._orbit_instances(grid, k)) == orbits
+
+    @pytest.mark.parametrize("d1,d2,k,orbits", [
+        (2, 4, 3, 182), (4, 2, 3, 182), (2, 5, 4, 1_650), (3, 4, 4, 5_617),
+    ])
+    def test_orbit_count_matches_burnside(self, d1, d2, k, orbits):
+        grid = ProductGraph(d1, d2)
+        assert sum(1 for _ in rooklink.oracle._orbit_instances(grid, k)) == orbits
+
+    def test_every_pairing_has_an_image_among_the_representatives(self):
+        grid = ProductGraph(3, 4)
+        tables = symmetry_tables(grid)
+        reps = {next(pairing_images(p.pairs, grid, tables[:1]))
+                for p in rooklink.oracle._orbit_instances(grid, 4)}
+        assert len(reps) == 5_617
+        rng = random.Random(7)
+        verts = sorted(grid.vertices())
+        for _ in range(300):
+            pairs = random_pairing(rng.sample(verts, 8), rng)
+            assert any(image in reps for image in pairing_images(pairs, grid, tables)), pairs
+
+    @pytest.mark.parametrize("d1,d2,k", _agreement_boards())
+    def test_agrees_with_the_corner_sweep(self, monkeypatch, d1, d2, k):
+        orbit = find_infeasible_pairing(d1, d2, k)
+        monkeypatch.setattr(rooklink.oracle, "_orbit_instances", corner_instances)
+        corner = find_infeasible_pairing(d1, d2, k)
+        assert orbit.completed == corner.completed
+        assert (orbit.found is None) == (corner.found is None)
+        if orbit.found is not None:
+            assert exhaustive_solve(orbit.found).feasible is False
+
+    def test_four_by_five_is_four_linked(self):
+        # one pair above the bound on an odd-sum board, yet every pairing
+        # routes: the complete sweep of all 5,617 orbits finds none
+        res = find_infeasible_pairing(3, 4, 4, exhaustive=True)
+        assert res.completed and res.found is None
+        assert res.instances_checked == 5_617
 
 
 @st.composite
