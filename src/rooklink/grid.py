@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class Vertex(NamedTuple):
@@ -36,7 +36,7 @@ class InvalidVertexError(ValueError):
 
 
 class EmptySubgridError(ValueError):
-    """A restriction would leave no active rows or no active columns."""
+    """A subgrid would have no active rows or no active columns."""
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,6 @@ class ProductGraph:
         self.require(v)
         return u != v and (u[0] == v[0] or u[1] == v[1])
 
-    def degree(self, v: Vertex) -> int:
-        self.require(v)
-        return self.d1 + self.d2
-
     @lru_cache(maxsize=64)
     def subgrid(self) -> "Subgrid":
         """The whole grid as a Subgrid, built once per board size and shared."""
@@ -95,8 +91,8 @@ class Subgrid:
     """Induced subgraph on a set of active rows and columns.
 
     The induced graph is itself a product of two complete graphs, on
-    len(rows) x len(cols) vertices.  Labels are ambient: restricting
-    never renumbers anything.
+    len(rows) x len(cols) vertices.  Labels are ambient: a subgrid never
+    renumbers anything.
     """
 
     base: ProductGraph
@@ -144,27 +140,9 @@ class Subgrid:
         self.require(v)
         return u != v and (u[0] == v[0] or u[1] == v[1])
 
-    def degree(self, v: Vertex) -> int:
-        self.require(v)
-        return (self.n_rows - 1) + (self.n_cols - 1)
-
     def neighbors(self, v: Vertex) -> set[Vertex]:
         """All active vertices adjacent to v; there are (rows-1)+(cols-1) of them."""
         self.require(v)
         out = {Vertex(r, v[1]) for r in self.rows if r != v[0]}
         out.update(Vertex(v[0], c) for c in self.cols if c != v[1])
         return out
-
-    def restrict(self, remove_rows: Iterable[int] = (), remove_cols: Iterable[int] = ()) -> "Subgrid":
-        """Induced subgrid after deleting rows/columns; labels are preserved."""
-        rr = set(remove_rows)
-        rc = set(remove_cols)
-        rows = tuple(r for r in self.rows if r not in rr)
-        cols = tuple(c for c in self.cols if c not in rc)
-        if not rows or not cols:
-            raise EmptySubgridError("restriction removed every row or every column")
-        return Subgrid(self.base, rows, cols)
-
-    def transpose(self) -> "Subgrid":
-        """Swap the roles of rows and columns; (r, c) maps to (c, r)."""
-        return Subgrid(ProductGraph(self.base.d2, self.base.d1), self.cols, self.rows)

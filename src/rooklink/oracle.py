@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, islice, permutations
-from math import prod
+from math import comb, factorial, prod
 import random
 
 from .grid import ProductGraph, Vertex
@@ -237,9 +237,24 @@ def random_pairing(items, rng: random.Random):
     return out
 
 
+_MAX_SWEEP_ORBITS = 5000
+
+
 def _sweepable(grid: ProductGraph, k: int) -> bool:
-    """Whether the exhaustive sweep for k pairs is small enough to run."""
-    return grid.vertex_count <= 16 or 2 * k <= 6
+    """Whether the exhaustive sweep for k pairs is small enough to run.
+
+    Its size is the Burnside lower bound on the number of orbits: every
+    pairing of 2k terminals, divided by the order of the symmetry group
+    (m! n! row and column permutations, times 2 on a square board).  The
+    sweep also walks all (2k - 1)!! pairings of each terminal pattern,
+    and a one-row board has a single pattern but a huge group, so that
+    walk is held to the same bound.
+    """
+    m, n = grid.n_rows, grid.n_cols
+    walk = prod(range(1, 2 * k, 2))
+    group = factorial(m) * factorial(n) * (2 if m == n else 1)
+    return (walk <= _MAX_SWEEP_ORBITS
+            and comb(grid.vertex_count, 2 * k) * walk <= _MAX_SWEEP_ORBITS * group)
 
 
 def _checked_grid(d1: int, d2: int, k: int) -> ProductGraph:

@@ -17,8 +17,12 @@ better side to peel) and hands the smaller problem to the next step:
   through a spare row when its own row is full, and the column is
   deleted;
 * otherwise a pair spanning two columns is bridged inside them, the
-  remaining terminals of those columns are walked out into free entries
-  of the rest of the grid, and both columns are deleted.
+  block terminals on rows that are full outside the two columns move
+  first, into the rest of the block or straight across, the remaining terminals of those columns
+  are walked out into free entries of the rest of the grid, and both
+  columns are deleted.  The full rows never outnumber the block's
+  slack (one more than its rows, minus its terminals), by the counting
+  margin of routing_margin_holds.
 
 Every evacuation is one call to drain_block; only the crowded in-block
 relocation of the two-column case still uses the max-flow engine.  The
@@ -32,15 +36,11 @@ an infeasibility verdict.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .grid import ProductGraph, Subgrid, Vertex, flip
 from .menger import disjoint_paths
 from .problem import Linkage, LinkageProblem, ProblemContractError
-
-_PAD = -1  # index of a padding pair shielding an already-routed endpoint
-
 
 class SolverInvariantError(RuntimeError):
     """An internal construction step failed; carries the trace so far."""
@@ -55,7 +55,11 @@ def routing_margin_holds(x: int, y: int) -> bool:
 
     This is the counting margin behind all the relocation steps: an
     x-by-(y-1) block always has more entries than the terminals that
-    could compete for them.
+    could compete for them.  With x = d1' and y = d2' it bounds the full
+    rows of the two-column case: when the block holds the bridged pair
+    and one more terminal, the other d1' + d2' - 3 terminals cannot fill
+    d1' rows of d2' - 1 cells, so at most d1' - 1 rows, the block's
+    slack, are full.
     """
     return x * (y - 1) > x + y - 3
 
@@ -97,7 +101,6 @@ class LinePairStep:
     moved: tuple[Vertex, ...]
     staying: tuple[Vertex, ...]
     stubs: dict[int, tuple]
-    pad: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,6 @@ class TwoColumnStep:
     in_block: int
     matching: dict[int, int] | None
     stubs: dict[int, tuple]
-    pad: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -148,12 +150,11 @@ def render_trace(trace: SolverTrace) -> str:
                 f"{tuple(v)}:{how}" for v, how in sorted(st.pushes.items()))
             matching = "-" if st.matching is None else ",".join(
                 f"{a}->{b}" for a, b in sorted(st.matching.items()))
-            pad = "-" if st.pad is None else f"{tuple(st.pad[0])}+{tuple(st.pad[1])}"
             lines.append(
                 f"step {n}: two-columns pair={st.pair + 1} cols={st.cols} slack={st.slack}"
                 f" bend-row={st.bend_row} bridge={_fmt_path(st.bridge)} top-rows={st.top_rows}"
                 f" into-block={st.into_block} in-block={st.in_block}"
-                f" pushes={pushes} matching={matching} pad={pad}"
+                f" pushes={pushes} matching={matching}"
             )
     return "\n".join(lines)
 
@@ -171,7 +172,8 @@ def bridge_candidates(rows, block_cols, s: Vertex, t: Vertex):
     """
     c_s, c_t = s[1], t[1]
     if {c_s, c_t} != set(block_cols) or c_s == c_t or s[0] == t[0]:
-        raise ValueError("bridge endpoints must span the two block columns on distinct rows")
+        raise SolverInvariantError(
+            "bridge endpoints must span the two block columns on distinct rows")
     cands = [
         ([s, Vertex(s[0], c_t), t], s[0]),
         ([s, Vertex(t[0], c_s), t], t[0]),
@@ -331,76 +333,13 @@ def _stitch(inner, stub_s, stub_t):
 def _finish(step, rec: dict[int, list[Vertex]]) -> dict[int, list[Vertex]]:
     """Stitch one step's stubs onto the paths routed by the steps after it."""
     out = dict(rec)
-    if step.pad is not None:
-        out.pop(_PAD, None)
     for idx, (stub_s, stub_t) in step.stubs.items():
         inner = out.get(idx)
         if inner is None:
-            if stub_s is None or stub_t is not None:
-                raise SolverInvariantError(f"pair {idx} missing from the recursion")
-            out[idx] = list(stub_s)
-        else:
-            out[idx] = _stitch(inner, stub_s, stub_t)
+            raise SolverInvariantError(f"pair {idx} missing from the later steps")
+        out[idx] = _stitch(inner, stub_s, stub_t)
     out[step.pair] = list(step.bridge)
     return out
-
-
-def _partner_of(pairs, v: Vertex):
-    for s, t, idx in pairs:
-        if s == v:
-            return t, idx
-        if t == v:
-            return s, idx
-    raise SolverInvariantError(f"vertex {tuple(v)} is not a terminal")
-
-
-def _first_free_vertex(rows, cols, occupied) -> Vertex:
-    for r in rows:
-        for c in cols:
-            w = Vertex(r, c)
-            if w not in occupied:
-                return w
-    raise SolverInvariantError("no free vertex available for a padding pair")
-
-
-def _escape_path(rows, block_cols, rest_cols, start: Vertex, partner: Vertex,
-                 occupied, bend: int) -> list[Vertex]:
-    """Shortest way out of the two-column block for a boxed-in terminal.
-
-    Breadth-first inside the block, off the bend row, never through a
-    terminal; stops the moment it can step onto the wide side, at the
-    partner or at any free entry off the bend row.  Ties break to the
-    lexicographically smallest exit.
-    """
-    ok_rows = [r for r in rows if r != bend]
-    dist = {start: 0}
-    parent: dict[Vertex, Vertex] = {}
-    queue = deque([start])
-    exits = []
-    while queue:
-        u = queue.popleft()
-        for c in rest_cols:
-            w = Vertex(u[0], c)
-            if w == partner or w not in occupied:
-                exits.append((dist[u] + 1, w, u))
-        nbrs = [Vertex(r, u[1]) for r in ok_rows if r != u[0]]
-        other = block_cols[1] if u[1] == block_cols[0] else block_cols[0]
-        nbrs.append(Vertex(u[0], other))
-        for w in sorted(nbrs):
-            if w not in dist and w not in occupied:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
-    if not exits:
-        raise SolverInvariantError("boxed-in terminal cannot leave the block")
-    _, target, via = min(exits)
-    path = [target]
-    u: Vertex | None = via
-    while u is not None:
-        path.append(u)
-        u = parent.get(u)
-    path.reverse()
-    return path
 
 
 def _base_single_row(rows, pairs):
@@ -454,7 +393,7 @@ def _case_two_columns(rows, cols, pairs):
     rest_cols = tuple(c for c in cols if c not in block_set)
     anchors = {s1, t1}
     occupied = {v for s, t, _ in pairs for v in (s, t)}
-    d1p, d2p = len(rows) - 1, len(cols) - 1
+    d1p = len(rows) - 1
     block_terms = sorted(v for v in occupied if v[1] in block_set)
     slack = d1p + 2 - len(block_terms)
     if not 0 <= slack <= d1p:
@@ -465,106 +404,75 @@ def _case_two_columns(rows, cols, pairs):
         raise SolverInvariantError("plain terminal on the bridge row")
 
     moves = _Moves(occupied)
-    pad = None
     pushes = None
     matching = None
-    into_block = 0
-    in_block = 0
-    top_rows = (bend,)
-    solved_idx = None
-    solved_path = None
-
-    if slack == d1p:
-        pass  # the block holds only the bridged pair; nothing to move
-    elif slack == d1p - 1:
-        x2 = others[0]
-        partner, idx2 = _partner_of(pairs, x2)
-        path = _escape_path(rows, block_cols, rest_cols, x2, partner, occupied, bend)
-        if path[-1] == partner:
-            # the escape finished the whole pair; shield its endpoint from
-            # the recursion with a padding pair whose path gets discarded
-            solved_idx, solved_path = idx2, path
-            pad_mate = _first_free_vertex(rows, rest_cols, occupied)
-            pad = (partner, pad_mate)
-        else:
-            occupied.discard(x2)
-            occupied.add(path[-1])
-            moves.apply(x2, path)
-    else:
-        full_rows = tuple(r for r in rows
-                          if all(Vertex(r, c) in occupied for c in rest_cols))
-        if len(full_rows) > slack:
-            raise SolverInvariantError("more saturated rows than the occupancy slack allows")
-        top_rows = tuple(sorted({bend, *full_rows}))
-        low_rows = tuple(r for r in rows if r not in top_rows)
-        movers = sorted(v for v in occupied
-                        if v[1] in block_set and v[0] in top_rows and v[0] != bend
-                        and v not in anchors)
-        in_block = sum(1 for v in occupied
-                       if v[1] in block_set and v[0] in low_rows and v not in anchors)
-        into_block = len(movers)
-        if movers:
-            if slack >= 2:
-                net_rows = tuple(r for r in rows if r != bend)
-                free = [Vertex(r, c) for r in low_rows for c in block_cols
-                        if Vertex(r, c) not in occupied]
-                if len(free) < len(movers):
-                    raise SolverInvariantError("low block lacks room for relocated terminals")
-                mover_set = set(movers)
-                forb = sorted(v for v in occupied
-                              if v[1] in block_set and v[0] != bend and v not in mover_set)
-                net = Subgrid(ProductGraph(max(net_rows), max(block_cols)),
-                              net_rows, block_cols)
-                ps = disjoint_paths(net, movers, free, forb, len(movers))
-                if ps is None:
-                    raise SolverInvariantError("in-block relocation infeasible")
-                for p in ps:
-                    occupied.discard(p[0])
-                    occupied.add(p[-1])
-                    moves.apply(p[0], p)
+    # The saturated rows never outnumber the slack: 2k <= d1' + d2' leaves
+    # at most d2' - 2 + slack terminals outside the block, a full row takes
+    # d2' - 1 of them, and slack + 1 full rows would need
+    # slack * (d2' - 2) < 0 (this case runs on at least three columns).
+    # With the anchors plus one plain terminal (slack == d1' - 1) that is
+    # at most d1' + d2' - 3 terminals, so at most d1' - 1 full rows because
+    # (d1' - 2)(d2' - 2) >= 0: the routing margin.
+    full_rows = tuple(r for r in rows
+                      if all(Vertex(r, c) in occupied for c in rest_cols))
+    if len(full_rows) > slack:
+        raise SolverInvariantError("more saturated rows than the occupancy slack allows")
+    top_rows = tuple(sorted({bend, *full_rows}))
+    low_rows = tuple(r for r in rows if r not in top_rows)
+    movers = sorted(v for v in others if v[0] in top_rows)
+    in_block = len(others) - len(movers)
+    if movers and slack >= 2:
+        net_rows = tuple(r for r in rows if r != bend)
+        free = [Vertex(r, c) for r in low_rows for c in block_cols
+                if Vertex(r, c) not in occupied]
+        if len(free) < len(movers):
+            raise SolverInvariantError("low block lacks room for relocated terminals")
+        mover_set = set(movers)
+        forb = sorted(v for v in block_terms if v[0] != bend and v not in mover_set)
+        net = Subgrid(ProductGraph(max(net_rows), max(block_cols)), net_rows, block_cols)
+        ps = disjoint_paths(net, movers, free, forb, len(movers))
+        if ps is None:
+            raise SolverInvariantError("in-block relocation infeasible")
+        for p in ps:
+            occupied.discard(p[0])
+            occupied.add(p[-1])
+            moves.apply(p[0], p)
+    elif movers:
+        # slack == 1: a single saturated row above the low block; push its
+        # terminals one step down their column, or straight out of the
+        # block when the column below is packed
+        pushes = {}
+        for x in movers:
+            down = next((r for r in low_rows if Vertex(r, x[1]) not in occupied), None)
+            if down is not None:
+                path = [x, Vertex(down, x[1])]
+                pushes[x] = "down"
             else:
-                # slack == 1: a single saturated row above the low block;
-                # push its terminals one step down their column, or straight
-                # out of the block when the column below is packed
-                pushes = {}
-                for x in movers:
-                    down = next((r for r in low_rows if Vertex(r, x[1]) not in occupied), None)
-                    if down is not None:
-                        path = [x, Vertex(down, x[1])]
-                        pushes[x] = "down"
-                    else:
-                        across = next((c for c in rest_cols
-                                       if Vertex(x[0], c) not in occupied), None)
-                        if across is None:
-                            raise SolverInvariantError(
-                                "saturated row cannot exit; the pair would have been adjacent")
-                        path = [x, Vertex(x[0], across)]
-                        pushes[x] = "across"
-                    occupied.discard(x)
-                    occupied.add(path[-1])
-                    moves.apply(x, path)
-        block_now = sorted(v for v in occupied
-                           if v[1] in block_set and v[0] in low_rows and v not in anchors)
-        if block_now:
-            for r in low_rows:
-                if all(Vertex(r, c) in occupied for c in rest_cols):
-                    raise SolverInvariantError("destination row saturated after relabeling")
-            matching = doubled_row_matching(low_rows, block_cols, rest_cols, occupied, anchors)
-            drained = drain_block(low_rows, block_cols, rest_cols, occupied, anchors, matching)
-            for cur in sorted(drained):
-                path = drained[cur]
-                occupied.discard(cur)
-                occupied.add(path[-1])
-                moves.apply(cur, path)
+                across = next((c for c in rest_cols if Vertex(x[0], c) not in occupied), None)
+                if across is None:
+                    raise SolverInvariantError(
+                        "saturated row cannot exit; the pair would have been adjacent")
+                path = [x, Vertex(x[0], across)]
+                pushes[x] = "across"
+            occupied.discard(x)
+            occupied.add(path[-1])
+            moves.apply(x, path)
+    if any(v[1] in block_set and v[0] in low_rows and v not in anchors for v in occupied):
+        for r in low_rows:
+            if all(Vertex(r, c) in occupied for c in rest_cols):
+                raise SolverInvariantError("destination row saturated after relabeling")
+        matching = doubled_row_matching(low_rows, block_cols, rest_cols, occupied, anchors)
+        drained = drain_block(low_rows, block_cols, rest_cols, occupied, anchors, matching)
+        for cur in sorted(drained):
+            path = drained[cur]
+            occupied.discard(cur)
+            occupied.add(path[-1])
+            moves.apply(cur, path)
 
     rec_pairs = []
     stubs = {}
     rest_set = frozenset(rest_cols)
     for s, t, idx in pairs[1:]:
-        if idx == solved_idx:
-            path = solved_path if solved_path[0] == s else solved_path[::-1]
-            stubs[idx] = (tuple(path), None)
-            continue
         ns, nt = moves.dest(s), moves.dest(t)
         if ns[1] not in rest_set or nt[1] not in rest_set:
             raise SolverInvariantError("a terminal was left behind in the deleted columns")
@@ -572,10 +480,8 @@ def _case_two_columns(rows, cols, pairs):
         stub_s, stub_t = moves.stub(s), moves.stub(t)
         if stub_s is not None or stub_t is not None:
             stubs[idx] = (stub_s, stub_t)
-    if pad is not None:
-        rec_pairs.append((pad[0], pad[1], _PAD))
     step = TwoColumnStep(i1, block_cols, slack, bend, tuple(bridge), top_rows,
-                         pushes, into_block, in_block, matching, stubs, pad)
+                         pushes, len(movers), in_block, matching, stubs)
     return step, (rows, rest_cols, rec_pairs)
 
 

@@ -88,6 +88,21 @@ class TestCliSolve:
         out = capsys.readouterr().out
         assert "path 1:" in out and "step 1:" in out
 
+    def test_trace_output_is_pinned(self, tmp_path, capsys):
+        inst = write(tmp_path, "a.txt", "dims 5 3\npair 1 0 2 1\npair 0 0 2 2\n"
+                                        "pair 0 2 3 3\npair 0 3 4 2\n")
+        assert main(["solve", inst, "--trace"]) == 0
+        assert capsys.readouterr().out == (
+            "path 1: (1,0) (1,1) (2,1)\n"
+            "path 2: (0,0) (2,0) (2,3) (5,3) (5,2) (2,2)\n"
+            "path 3: (0,2) (1,2) (1,3) (3,3)\n"
+            "path 4: (0,3) (4,3) (4,2)\n"
+            "step 1: two-columns pair=1 cols=(0, 1) slack=4 bend-row=1"
+            " bridge=(1,0)(1,1)(2,1) top-rows=(0, 1) into-block=1 in-block=0"
+            " pushes=- matching=\n"
+            "step 2: transpose reason=narrow-side-first\n"
+            "step 3: two-rows target-row=3 pairs=3\n")
+
     def test_internal_error_exits_4_with_its_trace(self, tmp_path, capsys, monkeypatch):
         def broken(problem):
             raise SolverInvariantError("boom", SolverTrace((TransposeStep("test"),)))

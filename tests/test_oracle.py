@@ -196,7 +196,12 @@ class TestLinkedness:
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            is_k_linked(2, 5, 4)
+            is_k_linked(3, 6, 5)
+
+    def test_one_row_board_with_many_pairs_is_sampled(self):
+        # one terminal pattern, but 29!! pairings for the sweep to walk
+        res = find_infeasible_pairing(0, 29, 15, count=3)
+        assert not res.completed and res.instances_checked == 3
 
     def test_sampled_mode_finds_the_easy_counterexample(self):
         ok, cex = is_k_linked(1, 2, 2, mode="sampled", seed=3, count=200)
@@ -239,8 +244,8 @@ class TestSharpness:
         (2, 3, 3, 5, 214, (((0, 0), (1, 1)), ((0, 1), (2, 0)), ((1, 0), (2, 1)))),
         (1, 6, 4, 11, 656, (((0, 0), (1, 1)), ((0, 1), (1, 0)),
                             ((0, 2), (1, 3)), ((0, 3), (1, 2)))),
-        (2, 5, 4, 130, 31_193, (((0, 0), (2, 1)), ((0, 1), (2, 0)),
-                                ((1, 0), (2, 4)), ((1, 4), (2, 2)))),
+        (2, 5, 4, 35, 28_428, (((0, 0), (1, 2)), ((0, 1), (2, 0)),
+                               ((0, 2), (1, 1)), ((1, 0), (2, 1)))),
     ])
     def test_hunt_counts_are_pinned(self, d1, d2, k, checked, nodes, pairing):
         res = find_infeasible_pairing(d1, d2, k)
@@ -330,7 +335,7 @@ class TestOrbitSweep:
     def test_four_by_five_is_four_linked(self):
         # one pair above the bound on an odd-sum board, yet every pairing
         # routes: the complete sweep of all 5,617 orbits finds none
-        res = find_infeasible_pairing(3, 4, 4, exhaustive=True)
+        res = find_infeasible_pairing(3, 4, 4)
         assert res.completed and res.found is None
         assert res.instances_checked == 5_617
 

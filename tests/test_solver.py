@@ -143,6 +143,11 @@ class TestBridge:
         cands = bridge_candidates((0, 1, 2), (0, 1), V(1, 0), V(2, 1))
         assert len(cands) == 3
 
+    @pytest.mark.parametrize("s, t", [((1, 0), (2, 0)), ((1, 0), (1, 1)), ((1, 0), (2, 3))])
+    def test_bad_endpoints_are_an_internal_error(self, s, t):
+        with pytest.raises(SolverInvariantError):
+            bridge_candidates((0, 1, 2), (0, 1), V(*s), V(*t))
+
     def test_shortest_candidate_preferred(self):
         path, bend = bridge_path((0, 1, 2, 3), (0, 1), V(1, 0), V(2, 1), set())
         assert path == [V(1, 0), V(1, 1), V(2, 1)]
@@ -256,16 +261,16 @@ class TestTwoColumnCase:
     def test_margin_instance(self):
         assert (2 - 1) * (2 - 1) > 2 - 1 + 2 - 3
 
-    def test_escape_onto_the_partner_pads_the_recursion(self):
-        # the boxed-in terminal's cheapest way out of the block lands exactly
-        # on its partner: the pair is done, and a discardable padding pair
-        # shields the endpoint from the recursion
+    def test_lone_plain_terminal_takes_the_general_path(self):
+        # the block holds the bridged pair and one plain terminal, (0, 0),
+        # on row 0, which is full outside the block: it moves into the low
+        # block first and is then drained, with no separate escape route
         p = problem(5, 3, ((1, 0), (2, 1)), ((0, 0), (2, 2)),
                     ((0, 2), (3, 3)), ((0, 3), (4, 2)))
-        link, trace = solve_and_check(p)
+        _, trace = solve_and_check(p)
         step = trace.steps[0]
-        assert isinstance(step, TwoColumnStep) and step.pad is not None
-        assert link.paths[1] == (V(0, 0), V(2, 0), V(2, 2))
+        assert isinstance(step, TwoColumnStep) and step.into_block == 1
+        assert step.top_rows == (0, 1)
 
     def test_saturated_row_terminal_pushed_down_its_column(self):
         # one row of the wide side is fully occupied, so the block terminal
