@@ -238,23 +238,34 @@ def random_pairing(items, rng: random.Random):
 
 
 _MAX_SWEEP_ORBITS = 5000
+_MAX_SEARCH_VERTICES = 20
+
+
+def _sweep_board(grid: ProductGraph, k: int) -> tuple[int, int, bool]:
+    """(m, n, square): the grid, short side first, cut to 2k x 2k, where
+    every orbit of 2k terminals has a pairing (two of which the cut
+    relates exactly when the grid does); square: the grid is square."""
+    m, n = sorted((grid.n_rows, grid.n_cols))
+    return min(m, 2 * k), min(n, 2 * k), m == n
 
 
 def _sweepable(grid: ProductGraph, k: int) -> bool:
     """Whether the exhaustive sweep for k pairs is small enough to run.
 
-    Its size is the Burnside lower bound on the number of orbits: every
-    pairing of 2k terminals, divided by the order of the symmetry group
-    (m! n! row and column permutations, times 2 on a square board).  The
-    sweep also walks all (2k - 1)!! pairings of each terminal pattern,
-    and a one-row board has a single pattern but a huge group, so that
-    walk is held to the same bound.
+    On the board of _sweep_board, the Burnside lower bound on the orbits
+    (all pairings over the group order m! n!, times 2 if square) and the
+    (2k - 1)!! pairings walked per pattern (one pattern but a huge group
+    on one row) are at most _MAX_SWEEP_ORBITS.  Beyond three pairs an
+    orbit's search grows steeply with the grid (some on 6 x 8 take
+    millions of nodes), so those need at most 20 vertices.  This keeps
+    _row_tables (m! 2^m entries) at six rows.
     """
-    m, n = grid.n_rows, grid.n_cols
+    m, n, square = _sweep_board(grid, k)
     walk = prod(range(1, 2 * k, 2))
-    group = factorial(m) * factorial(n) * (2 if m == n else 1)
-    return (walk <= _MAX_SWEEP_ORBITS
-            and comb(grid.vertex_count, 2 * k) * walk <= _MAX_SWEEP_ORBITS * group)
+    group = factorial(m) * factorial(n) * (2 if square else 1)
+    return ((k <= 3 or grid.vertex_count <= _MAX_SEARCH_VERTICES)
+            and walk <= _MAX_SWEEP_ORBITS
+            and comb(m * n, 2 * k) * walk <= _MAX_SWEEP_ORBITS * group)
 
 
 def _checked_grid(d1: int, d2: int, k: int) -> ProductGraph:
@@ -276,29 +287,29 @@ def _row_tables(m: int):
             for p in permutations(range(m))]
 
 
-def _views(pattern: tuple[int, ...], m: int):
-    """The pattern, and on a square board its transpose, flagged as such."""
+def _views(pattern: tuple[int, ...], m: int, square: bool):
+    """The pattern, and with transposition its transpose, flagged as such."""
     views = [(pattern, False)]
-    if m == len(pattern):
+    if square:
         views.append((tuple(sum(1 << m - 1 - c for c, mask in enumerate(pattern)
                                 if mask >> m - 1 - r & 1) for r in range(m)), True))
     return views
 
 
-def _patterns(m: int, n: int, cells: int, tables):
+def _patterns(m: int, n: int, cells: int, tables, square: bool):
     """One m x n terminal pattern with `cells` cells per orbit, lazily.
 
     The orbits are those of row and column permutations, and of
-    transposition when m == n.  A pattern is the tuple of its n column
-    masks in descending order, so a column permutation acts on it only
-    through that sort.  The canonical pattern of an orbit is the largest
-    tuple that a row permutation (after the transposition, if square)
-    sorts to.  Candidates are the descending tuples with `cells` bits,
-    and each is yielded when it is canonical.
+    transposition if square (then m == n).  A pattern is the tuple of its
+    n column masks in descending order, so a column permutation acts on
+    it only through that sort.  The canonical pattern of an orbit is the
+    largest tuple that a row permutation (after the transposition, if
+    square) sorts to.  Candidates are the descending tuples with `cells`
+    bits, and each is yielded when it is canonical.
     """
     def canonical(pattern) -> bool:
         return all(tuple(sorted((table[mask] for mask in view), reverse=True)) <= pattern
-                   for view, _ in _views(pattern, m) for _, table in tables)
+                   for view, _ in _views(pattern, m, square) for _, table in tables)
 
     def grow(prefix, top, left):
         slots = n - len(prefix)
@@ -314,7 +325,7 @@ def _patterns(m: int, n: int, cells: int, tables):
     yield from grow((), (1 << m) - 1, cells)
 
 
-def _symmetries(pattern: tuple[int, ...], m: int, tables):
+def _symmetries(pattern: tuple[int, ...], m: int, tables, square: bool):
     """A pattern's cells, and generators of its stabiliser acting on them.
 
     The cells are (row, column) pairs in lexicographic order, and each
@@ -337,7 +348,7 @@ def _symmetries(pattern: tuple[int, ...], m: int, tables):
                          {c: c + 1 if c < end else start for c in range(start, end + 1)}):
                 gens.add(tuple(index[r, move.get(c, c)] for r, c in cells))
         start = end + 1
-    for view, flipped in _views(pattern, m):
+    for view, flipped in _views(pattern, m, square):
         for p, table in tables:
             image = [table[mask] for mask in view]
             if sorted(image, reverse=True) != list(pattern):
@@ -371,18 +382,16 @@ def _orbit_instances(grid: ProductGraph, k: int):
     Row permutations, column permutations and, on a square board,
     transposition map linkages to linkages, so every pairing is
     feasible exactly when its orbit representative is.  Orbits are
-    enumerated in two stages: the canonical terminal patterns
-    (_patterns), then each pattern's pairings modulo the pattern's
-    stabiliser, keeping the first pairing of each orbit in
+    enumerated on the board of _sweep_board in two stages: the canonical
+    terminal patterns (_patterns), then each pattern's pairings modulo
+    its stabiliser, keeping the first pairing of each orbit in
     all_pairings order and marking the rest of that orbit seen.
-    The enumeration runs on the board or its transpose, whichever
-    has fewer rows.
     """
     flipped = grid.n_rows > grid.n_cols
-    m, n = sorted((grid.n_rows, grid.n_cols))
+    m, n, square = _sweep_board(grid, k)
     tables = _row_tables(m)
-    for pattern in _patterns(m, n, 2 * k, tables):
-        cells, gens = _symmetries(pattern, m, tables)
+    for pattern in _patterns(m, n, 2 * k, tables, square):
+        cells, gens = _symmetries(pattern, m, tables, square)
         verts = [Vertex(c, r) if flipped else Vertex(r, c) for r, c in cells]
         moves = [(g, sorted(range(2 * k), key=g.__getitem__)) for g in gens]
         seen = bytearray(prod(range(1, 2 * k, 2)))  # one flag per pairing, by rank

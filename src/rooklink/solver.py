@@ -18,11 +18,10 @@ better side to peel) and hands the smaller problem to the next step:
   deleted;
 * otherwise a pair spanning two columns is bridged inside them, the
   block terminals on rows that are full outside the two columns move
-  first, into the rest of the block or straight across, the remaining terminals of those columns
-  are walked out into free entries of the rest of the grid, and both
-  columns are deleted.  The full rows never outnumber the block's
-  slack (one more than its rows, minus its terminals), by the counting
-  margin of routing_margin_holds.
+  first, into the rest of the block or straight across, the remaining
+  terminals of those columns are walked out into free entries of the
+  rest of the grid, and both columns are deleted.  The full rows never
+  outnumber the block's slack (the full-rows bound, argued at its check).
 
 Every evacuation is one call to drain_block; only the crowded in-block
 relocation of the two-column case still uses the max-flow engine.  The
@@ -53,13 +52,9 @@ class SolverInvariantError(RuntimeError):
 def routing_margin_holds(x: int, y: int) -> bool:
     """x * (y - 1) > x + y - 3; true for every x, y >= 2.
 
-    This is the counting margin behind all the relocation steps: an
-    x-by-(y-1) block always has more entries than the terminals that
-    could compete for them.  With x = d1' and y = d2' it bounds the full
-    rows of the two-column case: when the block holds the bridged pair
-    and one more terminal, the other d1' + d2' - 3 terminals cannot fill
-    d1' rows of d2' - 1 cells, so at most d1' - 1 rows, the block's
-    slack, are full.
+    The counting margin behind the relocation steps: an x-by-(y-1) block
+    has more entries than the terminals that could compete for them.
+    With x = d1', y = d2' it backs the two-column case's full-rows bound.
     """
     return x * (y - 1) > x + y - 3
 
@@ -410,9 +405,6 @@ def _case_two_columns(rows, cols, pairs):
     # at most d2' - 2 + slack terminals outside the block, a full row takes
     # d2' - 1 of them, and slack + 1 full rows would need
     # slack * (d2' - 2) < 0 (this case runs on at least three columns).
-    # With the anchors plus one plain terminal (slack == d1' - 1) that is
-    # at most d1' + d2' - 3 terminals, so at most d1' - 1 full rows because
-    # (d1' - 2)(d2' - 2) >= 0: the routing margin.
     full_rows = tuple(r for r in rows
                       if all(Vertex(r, c) in occupied for c in rest_cols))
     if len(full_rows) > slack:

@@ -198,6 +198,36 @@ class TestLinkedness:
         with pytest.raises(ValueError):
             is_k_linked(3, 6, 5)
 
+    @pytest.mark.parametrize("d1,d2,k", [(9, 9, 4), (5, 7, 4), (2, 9, 5)])
+    def test_large_board_is_refused_before_any_table_is_built(self, monkeypatch,
+                                                              d1, d2, k):
+        # each orbit bound is below 5,000, but the sweep would build
+        # _row_tables(8) for the 8 x 8 cut of (9,9), and the orbits of the
+        # other two take minutes to hours of search
+        def refuse(m):
+            raise AssertionError(f"_row_tables({m}) built")
+
+        monkeypatch.setattr(rooklink.oracle, "_row_tables", refuse)
+        with pytest.raises(ValueError, match="too large"):
+            is_k_linked(d1, d2, k)
+        # the default mode samples instead (a node budget keeps it short)
+        res = find_infeasible_pairing(d1, d2, k, node_budget=2000)
+        assert not res.completed and res.found is None
+
+    def test_three_pairs_sweep_on_a_six_by_six_cut(self, monkeypatch):
+        # every orbit of 6 terminals has a pairing in the top-left 6 x 6,
+        # so the 8 x 8 board needs _row_tables(6), not _row_tables(8)
+        tables = rooklink.oracle._row_tables
+
+        def at_most_six(m):
+            assert m <= 6, f"_row_tables({m}) built"
+            return tables(m)
+
+        monkeypatch.setattr(rooklink.oracle, "_row_tables", at_most_six)
+        res = find_infeasible_pairing(7, 7, 3)
+        assert res.completed and res.found is None
+        assert res.instances_checked == 268
+
     def test_one_row_board_with_many_pairs_is_sampled(self):
         # one terminal pattern, but 29!! pairings for the sweep to walk
         res = find_infeasible_pairing(0, 29, 15, count=3)
@@ -296,7 +326,7 @@ def _agreement_boards():
 class TestOrbitSweep:
     @pytest.mark.parametrize("d1,d2,k,orbits", [
         (1, 1, 2, 2), (1, 2, 2, 8), (2, 1, 2, 8), (2, 2, 2, 11), (2, 2, 3, 28),
-        (1, 4, 3, 31), (2, 3, 3, 139),
+        (1, 4, 3, 31), (2, 3, 3, 139), (2, 2, 1, 2), (1, 4, 1, 3),
     ])
     def test_orbit_count_matches_brute_force(self, d1, d2, k, orbits):
         grid = ProductGraph(d1, d2)
@@ -305,6 +335,10 @@ class TestOrbitSweep:
 
     @pytest.mark.parametrize("d1,d2,k,orbits", [
         (2, 4, 3, 182), (4, 2, 3, 182), (2, 5, 4, 1_650), (3, 4, 4, 5_617),
+        # the sweep runs on a 4 x 4 cut of these boards, with transposition
+        # only where the grid itself is square (a brute-force dedupe over
+        # the whole grid gives the same counts)
+        (3, 4, 2, 31), (4, 3, 2, 31), (4, 4, 2, 18),
     ])
     def test_orbit_count_matches_burnside(self, d1, d2, k, orbits):
         grid = ProductGraph(d1, d2)
