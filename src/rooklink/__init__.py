@@ -20,8 +20,7 @@ from .problem import (Linkage, LinkageProblem, ProblemContractError,
                       max_guaranteed_pairs)
 from .solver import (SolverInvariantError, SolverTrace, bridge_candidates,
                      bridge_path, cyclic_dual_params, doubled_row_matching,
-                     drain_block, render_trace, replay, routing_margin_holds,
-                     solve)
+                     drain_block, render_trace, replay, solve)
 
 __version__ = "0.1.0"
 
@@ -34,6 +33,6 @@ __all__ = [
     "disjoint_paths", "doubled_row_matching", "drain_block",
     "exhaustive_solve", "find_infeasible_pairing", "flip", "is_k_linked",
     "max_guaranteed_pairs", "parse_instance", "parse_linkage",
-    "random_pairing", "render_trace", "replay", "routing_margin_holds",
+    "random_pairing", "render_trace", "replay",
     "serialize_instance", "serialize_linkage", "solve", "verify",
 ]

@@ -2,12 +2,14 @@
 
 Subcommands: solve, verify, oracle, connectivity, sharpness, fuzz,
 cyclic-dual.  Exit codes are stable across commands: 0 success/pass,
-1 verification failure or infeasible, 2 input error, 3 indeterminate,
-4 internal error (a SolverInvariantError: a bug, reported on stderr with
-the solver's trace), and 141 when the reader of stdout closed the pipe
-early (as if killed by SIGPIPE; nothing more is printed).  Randomised
-commands are reproducible from their seed; timing is printed to stderr
-so stdout stays byte-identical across runs.
+1 verification failure or infeasible, 2 input error (an
+InstanceFormatError or a ProblemContractError), 3 indeterminate,
+4 internal error (a SolverInvariantError, reported on stderr with the
+solver's trace, or any other ValueError: either way a bug), and 141
+when the reader of stdout closed the pipe early (as if killed by
+SIGPIPE; nothing more is printed).  Randomised commands are
+reproducible from their seed; timing is printed to stderr so stdout
+stays byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -42,20 +44,8 @@ def _read(path: str) -> str:
         raise InstanceFormatError(f"cannot read {path}: {err.strerror}") from None
 
 
-def _load_problem(path: str) -> LinkageProblem:
-    try:
-        return parse_instance(_read(path))
-    except ProblemContractError as err:
-        raise InstanceFormatError(str(err)) from None
-
-
 def _cmd_solve(args) -> int:
-    problem = _load_problem(args.instance)
-    try:
-        linkage, trace = solve(problem)
-    except ProblemContractError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    linkage, trace = solve(parse_instance(_read(args.instance)))
     sys.stdout.write(serialize_linkage(linkage.paths))
     if args.trace:
         print(render_trace(trace))
@@ -63,7 +53,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    problem = _load_problem(args.instance)
+    problem = parse_instance(_read(args.instance))
     paths = parse_linkage(_read(args.linkage))
     report = verify(problem, Linkage(tuple(tuple(p) for p in paths)))
     if report.ok:
@@ -74,7 +64,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    problem = _load_problem(args.instance)
+    problem = parse_instance(_read(args.instance))
     verdict = exhaustive_solve(problem, args.budget)
     if verdict.indeterminate:
         print(f"indeterminate: node budget exhausted after {verdict.nodes_explored} nodes")
@@ -125,6 +115,8 @@ def _cmd_fuzz(args) -> int:
         raise InstanceFormatError("ranges must look like MIN:MAX") from None
     if not (0 <= lo1 <= hi1 and 0 <= lo2 <= hi2):
         raise InstanceFormatError("ranges must satisfy 0 <= MIN <= MAX")
+    if args.k is not None and args.k < 0:
+        raise ProblemContractError(f"pair count must be non-negative, got {args.k}")
     rng = random.Random(args.seed)
     problems = []
     for _ in range(args.count):
@@ -234,16 +226,14 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except InstanceFormatError as err:
+    except (InstanceFormatError, ProblemContractError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (ProblemContractError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except SolverInvariantError as err:
+    except (SolverInvariantError, ValueError) as err:
         print(f"internal error: {err}", file=sys.stderr)
-        if err.trace is not None:
-            print(render_trace(err.trace), file=sys.stderr)
+        trace = getattr(err, "trace", None)
+        if trace is not None:
+            print(render_trace(trace), file=sys.stderr)
         return EXIT_INTERNAL
 
 

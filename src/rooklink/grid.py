@@ -31,6 +31,10 @@ def flip(v: Vertex) -> Vertex:
     return Vertex(v[1], v[0])
 
 
+class ProblemContractError(ValueError):
+    """The input violates a documented precondition."""
+
+
 class InvalidVertexError(ValueError):
     """A coordinate lies outside the (sub)grid it was used with."""
 
@@ -48,7 +52,8 @@ class ProductGraph:
 
     def __post_init__(self) -> None:
         if self.d1 < 0 or self.d2 < 0:
-            raise ValueError(f"dimensions must be nonnegative, got ({self.d1}, {self.d2})")
+            raise ProblemContractError(
+                f"dimensions must be nonnegative, got ({self.d1}, {self.d2})")
 
     @property
     def n_rows(self) -> int:

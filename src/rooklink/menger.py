@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .grid import Subgrid, Vertex
+from .grid import ProblemContractError, Subgrid, Vertex
 
 
 class _FlowNet:
@@ -207,7 +207,7 @@ def connectivity(s: Subgrid) -> int:
     """
     n = s.vertex_count
     if n < 2:
-        raise ValueError("connectivity undefined on a single vertex")
+        raise ProblemContractError("connectivity undefined on a single vertex")
     if s.n_rows == 1 or s.n_cols == 1:
         return n - 1
     verts = sorted(s.vertices())

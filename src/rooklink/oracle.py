@@ -28,7 +28,7 @@ from math import comb, factorial, prod
 import random
 
 from .grid import ProductGraph, Vertex
-from .problem import Linkage, LinkageProblem
+from .problem import Linkage, LinkageProblem, ProblemContractError
 
 
 @dataclass(frozen=True)
@@ -239,6 +239,7 @@ def random_pairing(items, rng: random.Random):
 
 _MAX_SWEEP_ORBITS = 5000
 _MAX_SEARCH_VERTICES = 20
+_MAX_SWEEP_TABLE = 1 << 22
 
 
 def _sweep_board(grid: ProductGraph, k: int) -> tuple[int, int, bool]:
@@ -268,12 +269,22 @@ def _sweepable(grid: ProductGraph, k: int) -> bool:
             and comb(m * n, 2 * k) * walk <= _MAX_SWEEP_ORBITS * group)
 
 
+def _sweep_fits(grid: ProductGraph, k: int) -> bool:
+    """Whether a sweep's two tables fit: the (2k - 1)!! pairing flags of
+    _orbit_instances and the m! 2^m entries of _row_tables, each at most
+    _MAX_SWEEP_TABLE.  Both pass it before k or m reaches 12, so the
+    big products are never formed."""
+    m = _sweep_board(grid, k)[0]
+    return (k < 12 and m < 12 and prod(range(1, 2 * k, 2)) <= _MAX_SWEEP_TABLE
+            and factorial(m) << m <= _MAX_SWEEP_TABLE)
+
+
 def _checked_grid(d1: int, d2: int, k: int) -> ProductGraph:
     grid = ProductGraph(d1, d2)
     if k < 0:
-        raise ValueError(f"pair count must be non-negative, got {k}")
+        raise ProblemContractError(f"pair count must be non-negative, got {k}")
     if 2 * k > grid.vertex_count:
-        raise ValueError("not enough vertices for 2k terminals")
+        raise ProblemContractError("not enough vertices for 2k terminals")
     return grid
 
 
@@ -463,6 +474,8 @@ def find_infeasible_pairing(d1: int, d2: int, k: int,
         return SharpnessResult(None, True, 0, 0)
     if exhaustive is None:
         exhaustive = _sweepable(grid, k)
+    if exhaustive and not _sweep_fits(grid, k):
+        raise ProblemContractError("grid too large for an exhaustive linkedness sweep")
     source = (_orbit_instances(grid, k) if exhaustive
               else _sampled_instances(grid, k, seed, count))
     parallel = workers > 1 and node_budget is None

@@ -12,11 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import ProductGraph, Subgrid, Vertex
-
-
-class ProblemContractError(ValueError):
-    """The input violates a documented precondition."""
+from .grid import ProblemContractError, ProductGraph, Subgrid, Vertex
 
 
 def max_guaranteed_pairs(d1: int, d2: int) -> int:

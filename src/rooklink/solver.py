@@ -18,15 +18,18 @@ better side to peel) and hands the smaller problem to the next step:
   deleted;
 * otherwise a pair spanning two columns is bridged inside them, the
   block terminals on rows that are full outside the two columns move
-  first, into the rest of the block or straight across, the remaining
-  terminals of those columns are walked out into free entries of the
-  rest of the grid, and both columns are deleted.  The full rows never
-  outnumber the block's slack (the full-rows bound, argued at its check).
+  first, each down its own block column into a free cell of a lower
+  row, or across to the other block column and down that one, the
+  remaining terminals of those columns are walked out into free entries
+  of the rest of the grid, and both columns are deleted.  The full rows
+  never outnumber the block's slack (the full-rows bound, argued at its
+  check), and a counting argument at the relocation shows it never
+  runs out of room.
 
-Every evacuation is one call to drain_block; only the crowded in-block
-relocation of the two-column case still uses the max-flow engine.  The
-steps run in a loop, not by recursion, and the linkage is folded back
-out of the finished trace by the same code that replays it.
+Every evacuation is one call to drain_block, and no step uses the
+max-flow engine.  The steps run in a loop, not by recursion, and the
+linkage is folded back out of the finished trace by the same code that
+replays it.
 
 Internal failures raise SolverInvariantError carrying the trace: the
 construction cannot fail on a legal input, so a failure is a bug, never
@@ -37,8 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import ProductGraph, Subgrid, Vertex, flip
-from .menger import disjoint_paths
+from .grid import Vertex, flip
+from .menger import disjoint_paths  # unused; perfbench/tracing.py wraps this name
 from .problem import Linkage, LinkageProblem, ProblemContractError
 
 class SolverInvariantError(RuntimeError):
@@ -47,16 +50,6 @@ class SolverInvariantError(RuntimeError):
     def __init__(self, message: str, trace: "SolverTrace | None" = None) -> None:
         super().__init__(message)
         self.trace = trace
-
-
-def routing_margin_holds(x: int, y: int) -> bool:
-    """x * (y - 1) > x + y - 3; true for every x, y >= 2.
-
-    The counting margin behind the relocation steps: an x-by-(y-1) block
-    has more entries than the terminals that could compete for them.
-    With x = d1', y = d2' it backs the two-column case's full-rows bound.
-    """
-    return x * (y - 1) > x + y - 3
 
 
 def cyclic_dual_params(d: int) -> tuple[int, int]:
@@ -399,7 +392,6 @@ def _case_two_columns(rows, cols, pairs):
         raise SolverInvariantError("plain terminal on the bridge row")
 
     moves = _Moves(occupied)
-    pushes = None
     matching = None
     # The saturated rows never outnumber the slack: 2k <= d1' + d2' leaves
     # at most d2' - 2 + slack terminals outside the block, a full row takes
@@ -411,44 +403,40 @@ def _case_two_columns(rows, cols, pairs):
         raise SolverInvariantError("more saturated rows than the occupancy slack allows")
     top_rows = tuple(sorted({bend, *full_rows}))
     low_rows = tuple(r for r in rows if r not in top_rows)
+    # a mover, a plain block terminal on a saturated row, cannot leave
+    # across its row, so it steps down its own block column to the lowest
+    # free low cell, or, when that column is packed, across to its
+    # row-mate cell and down the other column
     movers = sorted(v for v in others if v[0] in top_rows)
     in_block = len(others) - len(movers)
-    if movers and slack >= 2:
-        net_rows = tuple(r for r in rows if r != bend)
-        free = [Vertex(r, c) for r in low_rows for c in block_cols
-                if Vertex(r, c) not in occupied]
-        if len(free) < len(movers):
-            raise SolverInvariantError("low block lacks room for relocated terminals")
-        mover_set = set(movers)
-        forb = sorted(v for v in block_terms if v[0] != bend and v not in mover_set)
-        net = Subgrid(ProductGraph(max(net_rows), max(block_cols)), net_rows, block_cols)
-        ps = disjoint_paths(net, movers, free, forb, len(movers))
-        if ps is None:
-            raise SolverInvariantError("in-block relocation infeasible")
-        for p in ps:
-            occupied.discard(p[0])
-            occupied.add(p[-1])
-            moves.apply(p[0], p)
-    elif movers:
-        # slack == 1: a single saturated row above the low block; push its
-        # terminals one step down their column, or straight out of the
-        # block when the column below is packed
-        pushes = {}
-        for x in movers:
-            down = next((r for r in low_rows if Vertex(r, x[1]) not in occupied), None)
-            if down is not None:
-                path = [x, Vertex(down, x[1])]
-                pushes[x] = "down"
-            else:
-                across = next((c for c in rest_cols if Vertex(x[0], c) not in occupied), None)
-                if across is None:
-                    raise SolverInvariantError(
-                        "saturated row cannot exit; the pair would have been adjacent")
-                path = [x, Vertex(x[0], across)]
-                pushes[x] = "across"
-            occupied.discard(x)
-            occupied.add(path[-1])
-            moves.apply(x, path)
+    pushes = {}
+    for x in movers:
+        mate = Vertex(x[0], block_cols[1] if x[1] == block_cols[0] else block_cols[0])
+        for how, path in (("down", [x]), ("across", [x, mate])):
+            c = path[-1][1]
+            down = next((r for r in low_rows if Vertex(r, c) not in occupied), None)
+            if down is not None and occupied.isdisjoint(path[1:]):
+                break
+        else:
+            # Unreachable.  Let h be the block's rows, B = h + 1 - slack its
+            # terminals and L the low rows; the full-rows bound gives
+            # |L| >= h - 1 - slack.  If chi movers of a column c find no
+            # free low cell in c, counting B by rows gives
+            #     chi + alpha + m' + t' = B - |L| <= 2,
+            # with alpha the anchors on top rows, m' the movers of the
+            # other column and t' its terminals on low rows.  If the
+            # bridge bends through a third row, rows s0 and t0 each hold
+            # two block terminals and each adds one to alpha + t', so no
+            # mover crosses.  Otherwise the bend row holds an anchor, so
+            # alpha >= 1 and at most one mover per step crosses; when one
+            # does, m' = t' = 0, so its row-mate cell and the other
+            # column's low cells are free.
+            raise SolverInvariantError(f"mover {tuple(x)} has no reachable low-block cell")
+        path.append(Vertex(down, c))
+        pushes[x] = how
+        occupied.discard(x)
+        occupied.add(path[-1])
+        moves.apply(x, path)
     if any(v[1] in block_set and v[0] in low_rows and v not in anchors for v in occupied):
         for r in low_rows:
             if all(Vertex(r, c) in occupied for c in rest_cols):
@@ -473,7 +461,7 @@ def _case_two_columns(rows, cols, pairs):
         if stub_s is not None or stub_t is not None:
             stubs[idx] = (stub_s, stub_t)
     step = TwoColumnStep(i1, block_cols, slack, bend, tuple(bridge), top_rows,
-                         pushes, len(movers), in_block, matching, stubs)
+                         pushes or None, len(movers), in_block, matching, stubs)
     return step, (rows, rest_cols, rec_pairs)
 
 

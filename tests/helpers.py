@@ -7,6 +7,18 @@ from itertools import combinations, permutations
 from rooklink import LinkageProblem, ProductGraph, Subgrid, Vertex, all_pairings
 
 
+def routing_margin_holds(x: int, y: int) -> bool:
+    """x * (y - 1) > x + y - 3; true for every x, y >= 2.
+
+    The counting margin behind the solver's relocation steps: an
+    x-by-(y-1) block has more entries than the terminals that could
+    compete for them.  With x = d1', y = d2' it backs the two-column
+    case's full-rows bound, argued in a comment at its check in
+    rooklink.solver._case_two_columns.
+    """
+    return x * (y - 1) > x + y - 3
+
+
 def brute_ab_feasible(sub: Subgrid, a_set, b_set, forbidden, k: int) -> bool:
     """Exhaustive search: do k disjoint A-B paths exist?
 

@@ -11,8 +11,10 @@ from rooklink import (LinkageProblem, ProductGraph, SolverInvariantError,
                       doubled_row_matching, drain_block, exhaustive_solve,
                       find_infeasible_pairing, max_guaranteed_pairs,
                       random_pairing, render_trace, replay,
-                      routing_margin_holds, serialize_linkage, solve, verify)
+                      serialize_linkage, solve, verify)
 from rooklink.cli import main
+
+from helpers import routing_margin_holds
 
 V = Vertex
 

@@ -99,7 +99,7 @@ class TestCliSolve:
             "path 4: (0,3) (4,3) (4,2)\n"
             "step 1: two-columns pair=1 cols=(0, 1) slack=4 bend-row=1"
             " bridge=(1,0)(1,1)(2,1) top-rows=(0, 1) into-block=1 in-block=0"
-            " pushes=- matching=\n"
+            " pushes=(0, 0):down matching=\n"
             "step 2: transpose reason=narrow-side-first\n"
             "step 3: two-rows target-row=3 pairs=3\n")
 
@@ -192,6 +192,22 @@ class TestCliConnectivity:
         assert main(["connectivity", str(d1), str(d2)]) == 0
         assert capsys.readouterr().out.strip() == str(expected)
 
+    @pytest.mark.parametrize("d1,d2,message", [
+        (0, 0, "connectivity undefined on a single vertex"),
+        (-1, 2, "dimensions must be nonnegative, got (-1, 2)")])
+    def test_bad_board_is_an_input_error(self, capsys, d1, d2, message):
+        assert main(["connectivity", str(d1), str(d2)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    def test_stray_value_error_is_internal(self, capsys, monkeypatch):
+        # a ValueError that no input check raised is a bug, not bad input
+        def broken(sub):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(rooklink.cli, "connectivity", broken)
+        assert main(["connectivity", "2", "3"]) == 4
+        assert capsys.readouterr().err == "internal error: boom\n"
+
 
 class TestCliSharpness:
     def test_counterexample_found(self, capsys):
@@ -220,6 +236,14 @@ class TestCliSharpness:
         assert main(["sharpness", "2", "2", "--k", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.strip() == "error: pair count must be non-negative, got -1"
+
+    @pytest.mark.parametrize("argv", [["0", "30", "--k", "15"], ["9", "9", "--k", "5"]])
+    def test_forced_sweep_too_large_to_tabulate_exits_2(self, capsys, argv):
+        # 29!! pairing flags, or 10! * 2^10 row-table entries: refused
+        # before either table is allocated
+        assert main(["sharpness", *argv, "--exhaustive"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error: grid too large for an exhaustive linkedness sweep"
 
     def test_budget_exhaustion_exits_3(self, capsys):
         assert main(["sharpness", "2", "3", "--exhaustive", "--budget", "10"]) == 3
@@ -257,6 +281,10 @@ class TestCliFuzz:
 
     def test_malformed_range_exits_2(self, capsys):
         assert main(["fuzz", "--count", "1", "--d1-range", "junk"]) == 2
+
+    def test_negative_pair_cap_exits_2(self, capsys):
+        assert main(["fuzz", "--count", "1", "--k", "-1"]) == 2
+        assert capsys.readouterr().err.strip() == "error: pair count must be non-negative, got -1"
 
 
 class TestCliCyclicDual:

@@ -11,9 +11,12 @@ from rooklink import (LinkageProblem, ProblemContractError, ProductGraph,
                       bridge_candidates, bridge_path, cyclic_dual_params,
                       doubled_row_matching, drain_block, exhaustive_solve,
                       max_guaranteed_pairs, random_pairing, render_trace,
-                      replay, routing_margin_holds, solve, verify)
+                      replay, solve, verify)
+import rooklink.menger
 import rooklink.solver
 from rooklink.solver import LinePairStep, TransposeStep, TwoColumnStep, TwoRowsStep
+
+from helpers import routing_margin_holds
 
 V = Vertex
 
@@ -282,6 +285,43 @@ class TestTwoColumnCase:
         assert step.slack == 1
         assert step.pushes == {V(4, 0): "down"}
         assert step.matching == {0: 2}
+
+    def test_packed_column_sends_its_last_mover_across(self, monkeypatch):
+        # rows 2 and 4 are full outside the block; (2, 1) takes column 1's
+        # last free low cell, so (4, 1) steps across its row to (4, 0) and
+        # down column 0 to its lowest free low cell, with no flow call
+        monkeypatch.setattr(rooklink.solver, "disjoint_paths", _no_flow)
+        p = problem(4, 2, ((0, 0), (1, 1)), ((2, 1), (4, 2)), ((2, 2), (4, 1)))
+        link, trace = solve_and_check(p)
+        step = trace.steps[0]
+        assert isinstance(step, TwoColumnStep) and step.slack == 2
+        assert step.top_rows == (0, 2, 4)
+        assert step.pushes == {V(2, 1): "down", V(4, 1): "across"}
+        assert step.stubs[2][1] == (V(4, 1), V(4, 0), V(1, 0), V(1, 2))
+        assert link.paths[2] == (V(2, 2), V(1, 2), V(1, 0), V(4, 0), V(4, 1))
+
+    def test_relocation_needs_no_flow_and_crosses_as_counted(self, monkeypatch):
+        # the counting argument at the relocation's invariant error: a
+        # mover crosses only when the bridge bends through an anchor's row
+        # (three cells), and then it is the step's only crossing
+        monkeypatch.setattr(rooklink.solver, "disjoint_paths", _no_flow)
+        monkeypatch.setattr(rooklink.menger, "disjoint_paths", _no_flow)
+        rng = random.Random(808)
+        crowded = 0
+        for _ in range(3000):
+            d1, d2 = rng.randint(2, 10), rng.randint(2, 10)
+            grid = ProductGraph(d1, d2)
+            terms = sorted(rng.sample(sorted(grid.subgrid().vertices()),
+                                      2 * max_guaranteed_pairs(d1, d2)))
+            p = LinkageProblem(grid, tuple(random_pairing(terms, rng)))
+            _, trace = solve_and_check(p)
+            for step in trace.steps:
+                if not isinstance(step, TwoColumnStep) or not step.pushes:
+                    continue
+                crowded += step.slack >= 2
+                across = list(step.pushes.values()).count("across")
+                assert across <= 1 and (across == 0 or len(step.bridge) == 3), step
+        assert crowded > 0
 
     def test_column_overflow_transposes(self):
         # five terminals crowd the chosen pair's two columns
