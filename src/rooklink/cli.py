@@ -2,7 +2,8 @@
 
 Subcommands: solve, verify, oracle, connectivity, sharpness, fuzz,
 cyclic-dual.  Exit codes are stable across commands: 0 success/pass,
-1 verification failure or infeasible, 2 input error (an
+1 verification failure or infeasible (for fuzz: some instance failed to
+solve or to verify; the campaign still runs to the end), 2 input error (an
 InstanceFormatError or a ProblemContractError), 3 indeterminate,
 4 internal error (a SolverInvariantError, reported on stderr with the
 solver's trace, or any other ValueError: either way a bug), and 141
@@ -103,8 +104,14 @@ def _cmd_sharpness(args) -> int:
 
 
 def _fuzz_one(problem: LinkageProblem):
-    linkage, trace = solve(problem)
-    return verify(problem, linkage).ok, trace.depth
+    """(verified, trace depth, None), or (False, 0, report) when the solver
+    fails; the report holds the error and the partial trace as comments."""
+    try:
+        linkage, trace = solve(problem)
+    except SolverInvariantError as err:
+        lines = [f"error: {err}"] + render_trace(err.trace).splitlines()
+        return False, 0, "".join(f"# {line}\n" for line in lines)
+    return verify(problem, linkage).ok, trace.depth, None
 
 
 def _cmd_fuzz(args) -> int:
@@ -137,9 +144,16 @@ def _cmd_fuzz(args) -> int:
     else:
         outcomes = [_fuzz_one(p) for p in problems]
     elapsed = time.perf_counter() - started
-    solved = len(outcomes)
-    verified = sum(1 for ok, _ in outcomes if ok)
-    max_depth = max((depth for _, depth in outcomes), default=0)
+    for i, (problem, (_, _, failure)) in enumerate(zip(problems, outcomes)):
+        if failure is not None:
+            # an instance file that `rooklink solve` reads back as it is
+            name = f"fail-{args.seed}-{i}.txt"
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(serialize_instance(problem) + failure)
+            print(f"solver failed on instance {i}; wrote {name}", file=sys.stderr)
+    solved = sum(1 for _, _, failure in outcomes if failure is None)
+    verified = sum(1 for ok, _, _ in outcomes if ok)
+    max_depth = max((depth for _, depth, _ in outcomes), default=0)
     print("fuzz-report")
     print(f"seed={args.seed}")
     print(f"d1-range={lo1}:{hi1}")
@@ -197,7 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="processes for the exhaustive sweep (ignored with --budget)")
     p.set_defaults(fn=_cmd_sharpness)
 
-    p = sub.add_parser("fuzz", help="seeded random solve+verify campaign")
+    p = sub.add_parser("fuzz", help="seeded random solve+verify campaign; writes"
+                       " fail-SEED-I.txt for each instance I the solver fails on")
     p.add_argument("--d1-range", default="2:6")
     p.add_argument("--d2-range", default="2:6")
     p.add_argument("--count", type=int, default=100)

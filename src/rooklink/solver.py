@@ -27,9 +27,11 @@ better side to peel) and hands the smaller problem to the next step:
   runs out of room.
 
 Every evacuation is one call to drain_block, and no step uses the
-max-flow engine.  The steps run in a loop, not by recursion, and the
-linkage is folded back out of the finished trace by the same code that
-replays it.
+max-flow engine.  The steps run in a loop, not by recursion, and share
+one occupancy set, which each step updates with its own moves only.
+They route on plain (r, c) tuples; the linkage is folded back out of
+the finished trace by the same code that replays it, and replay builds
+its Vertex objects.
 
 Internal failures raise SolverInvariantError carrying the trace: the
 construction cannot fail on a legal input, so a failure is a bug, never
@@ -43,6 +45,8 @@ from dataclasses import dataclass
 from .grid import Vertex, flip
 from .menger import disjoint_paths  # unused; perfbench/tracing.py wraps this name
 from .problem import Linkage, LinkageProblem, ProblemContractError
+
+Cell = tuple[int, int]  # a board cell (r, c); a Vertex compares and hashes equal
 
 class SolverInvariantError(RuntimeError):
     """An internal construction step failed; carries the trace so far."""
@@ -72,22 +76,22 @@ class TransposeStep:
 @dataclass(frozen=True)
 class SingleRowStep:
     row: int
-    paths: dict[int, tuple[Vertex, ...]]
+    paths: dict[int, tuple[Cell, ...]]
 
 
 @dataclass(frozen=True)
 class TwoRowsStep:
     target_row: int
-    paths: dict[int, tuple[Vertex, ...]]
+    paths: dict[int, tuple[Cell, ...]]
 
 
 @dataclass(frozen=True)
 class LinePairStep:
     pair: int
     column: int
-    bridge: tuple[Vertex, ...]
-    moved: tuple[Vertex, ...]
-    staying: tuple[Vertex, ...]
+    bridge: tuple[Cell, ...]
+    moved: tuple[Cell, ...]
+    staying: tuple[Cell, ...]
     stubs: dict[int, tuple]
 
 
@@ -97,9 +101,9 @@ class TwoColumnStep:
     cols: tuple[int, int]
     slack: int
     bend_row: int
-    bridge: tuple[Vertex, ...]
+    bridge: tuple[Cell, ...]
     top_rows: tuple[int, ...]
-    pushes: dict[Vertex, str] | None
+    pushes: dict[Cell, str] | None
     into_block: int
     in_block: int
     matching: dict[int, int] | None
@@ -151,7 +155,7 @@ def render_trace(trace: SolverTrace) -> str:
 # reusable routing pieces (each independently testable)
 
 
-def bridge_candidates(rows, block_cols, s: Vertex, t: Vertex):
+def bridge_candidates(rows, block_cols, s: Cell, t: Cell):
     """The len(rows)-many internally disjoint s-t paths inside two columns.
 
     Two bends of length two (through s's row or t's row) and one
@@ -162,41 +166,40 @@ def bridge_candidates(rows, block_cols, s: Vertex, t: Vertex):
     if {c_s, c_t} != set(block_cols) or c_s == c_t or s[0] == t[0]:
         raise SolverInvariantError(
             "bridge endpoints must span the two block columns on distinct rows")
-    cands = [
-        ([s, Vertex(s[0], c_t), t], s[0]),
-        ([s, Vertex(t[0], c_s), t], t[0]),
-    ]
+    cands = [([s, (s[0], c_t), t], s[0]), ([s, (t[0], c_s), t], t[0])]
     for r in rows:
         if r != s[0] and r != t[0]:
-            cands.append(([s, Vertex(r, c_s), Vertex(r, c_t), t], r))
+            cands.append(([s, (r, c_s), (r, c_t), t], r))
     return cands
 
 
-def bridge_path(rows, block_cols, s: Vertex, t: Vertex, occupied) -> tuple[list[Vertex], int]:
+def bridge_path(rows, block_cols, s: Cell, t: Cell, occupied: set) -> tuple[list[Cell], int]:
     """First candidate whose interior avoids every other terminal.
 
     At most len(rows) - 1 terminals other than s, t can sit in the two
     columns and the candidates are internally disjoint, so one is free.
     """
-    others = set(occupied) - {s, t}
     for path, bend in bridge_candidates(rows, block_cols, s, t):
-        if not any(v in others for v in path[1:-1]):
-            return list(path), bend
+        if occupied.isdisjoint(path[1:-1]):
+            return path, bend
     raise SolverInvariantError("every bridge candidate is blocked; occupancy cap violated")
 
 
-def _plain_by_row(rows, block_cols, occupied, anchors) -> dict[int, list[Vertex]]:
+def _plain_by_row(rows, block_cols, occupied, anchors) -> dict[int, list[Cell]]:
     """The block's plain (non-anchor) terminals by row, in label and
     block-column order; visits terminals only, not the whole block."""
     row_set = set(rows)
     hit = {v[0] for v in occupied
            if v[1] in block_cols and v[0] in row_set and v not in anchors}
-    return {r: [v for v in (Vertex(r, c) for c in block_cols)
+    return {r: [v for v in ((r, c) for c in block_cols)
                 if v in occupied and v not in anchors] for r in sorted(hit)}
 
 
-def _free_dest(r: int, dest_cols, occupied) -> Vertex | None:
-    return next((w for w in (Vertex(r, c) for c in dest_cols) if w not in occupied), None)
+def _free_dest(r: int, dest_cols, occupied) -> Cell | None:
+    for c in dest_cols:
+        if (r, c) not in occupied:
+            return r, c
+    return None
 
 
 def _match_spares(plain, rows, block_cols, dest_cols, occupied) -> dict[int, int]:
@@ -206,7 +209,7 @@ def _match_spares(plain, rows, block_cols, dest_cols, occupied) -> dict[int, int
         return {}
     spare = []
     for r in sorted(rows):
-        if (r not in plain and any(Vertex(r, c) not in occupied for c in block_cols)
+        if (r not in plain and any((r, c) not in occupied for c in block_cols)
                 and _free_dest(r, dest_cols, occupied) is not None):
             spare.append(r)
             if len(spare) == len(needy):
@@ -231,7 +234,7 @@ def doubled_row_matching(rows, block_cols, dest_cols, occupied, anchors) -> dict
 
 
 def drain_block(rows, block_cols, dest_cols, occupied, anchors,
-                matching: dict[int, int] | None = None) -> dict[Vertex, list[Vertex]]:
+                matching: dict[int, int] | None = None) -> dict[Cell, list[Cell]]:
     """Walk every plain terminal out of the block into the destination
     columns; the block is one or two columns wide.
 
@@ -250,7 +253,7 @@ def drain_block(rows, block_cols, dest_cols, occupied, anchors,
     if matching is None:
         matching = _match_spares(plain_rows, rows, block_cols, dest_cols, occupied)
 
-    def end(r: int) -> Vertex:
+    def end(r: int) -> Cell:
         # each destination row takes one endpoint, so its first free
         # entry cannot have been claimed by another path
         w = _free_dest(r, dest_cols, occupied)
@@ -258,14 +261,14 @@ def drain_block(rows, block_cols, dest_cols, occupied, anchors,
             raise SolverInvariantError(f"no free destination entry in row {r}")
         return w
 
-    out: dict[Vertex, list[Vertex]] = {}
+    out = {}
     for r, plain in plain_rows.items():
         spare = matching.get(r)
         if spare is not None:
-            detour = next((x for x in plain if Vertex(spare, x[1]) not in occupied), None)
+            detour = next((x for x in plain if (spare, x[1]) not in occupied), None)
             if detour is None:
                 raise SolverInvariantError(f"spare row {spare} has no free block entry")
-            out[detour] = [detour, Vertex(spare, detour[1]), end(spare)]
+            out[detour] = [detour, (spare, detour[1]), end(spare)]
             plain = [x for x in plain if x != detour]
         elif len(plain) > 1:
             raise SolverInvariantError(f"doubled row {r} missing from the matching")
@@ -279,26 +282,33 @@ def drain_block(rows, block_cols, dest_cols, occupied, anchors,
 
 
 class _Moves:
-    """Accumulates relocation stubs; one chain per original terminal."""
+    """One step's relocation stubs, keyed by each moved terminal's cell at
+    the start of the step; a terminal that moves twice gets one stub."""
 
-    def __init__(self, terminals) -> None:
-        self.cur_of = {t: t for t in terminals}
-        self.origin_of = {t: t for t in terminals}
-        self.path: dict[Vertex, list[Vertex]] = {}
+    def __init__(self) -> None:
+        self.origin_of: dict[Cell, Cell] = {}
+        self.path: dict[Cell, list[Cell]] = {}
 
-    def apply(self, cur: Vertex, path) -> None:
-        origin = self.origin_of.pop(cur)
+    def apply(self, cur, path) -> None:
+        origin = self.origin_of.pop(cur, cur)
         prev = self.path.get(origin)
-        self.path[origin] = (prev[:-1] + list(path)) if prev else list(path)
-        self.cur_of[origin] = path[-1]
+        self.path[origin] = prev[:-1] + path if prev else path
         self.origin_of[path[-1]] = origin
 
-    def dest(self, origin: Vertex) -> Vertex:
-        return self.cur_of[origin]
 
-    def stub(self, origin: Vertex):
-        p = self.path.get(origin)
-        return tuple(p) if p else None
+def _carry(pairs, moved, done: int):
+    """The pairs left after a step, at their new cells, and the stubs of
+    those with a terminal in moved (cell at the step's start -> path)."""
+    rest, stubs = [], {}
+    for pair in pairs:
+        s, t, idx = pair
+        if s in moved or t in moved:
+            ps, pt = moved.get(s), moved.get(t)
+            stubs[idx] = (tuple(ps) if ps else None, tuple(pt) if pt else None)
+            pair = (ps[-1] if ps else s, pt[-1] if pt else t, idx)
+        if idx != done:
+            rest.append(pair)
+    return rest, stubs
 
 
 def _stitch(inner, stub_s, stub_t):
@@ -318,69 +328,56 @@ def _stitch(inner, stub_s, stub_t):
     return path
 
 
-def _finish(step, rec: dict[int, list[Vertex]]) -> dict[int, list[Vertex]]:
+def _finish(step, acc: dict[int, list[Cell]]) -> None:
     """Stitch one step's stubs onto the paths routed by the steps after it."""
-    out = dict(rec)
     for idx, (stub_s, stub_t) in step.stubs.items():
-        inner = out.get(idx)
+        inner = acc.get(idx)
         if inner is None:
             raise SolverInvariantError(f"pair {idx} missing from the later steps")
-        out[idx] = _stitch(inner, stub_s, stub_t)
-    out[step.pair] = list(step.bridge)
-    return out
+        acc[idx] = _stitch(inner, stub_s, stub_t)
+    acc[step.pair] = list(step.bridge)
 
 
 def _base_single_row(rows, pairs):
     return SingleRowStep(rows[0], {idx: (s, t) for s, t, idx in pairs})
 
 
-def _base_two_rows(rows, cols, pairs):
+def _base_two_rows(rows, cols, pairs, occupied):
     # flipped, the top row is a one-column block drained into the target
     # row; 2k <= len(cols) terminals leave at least as many columns with
     # both cells free as columns with both cells taken, so every top
     # terminal facing a taken cell finds a free column to detour through
     top, target = rows
-    terminals = [v for s, t, _ in pairs for v in (s, t)]
-    drained = drain_block(cols, (top,), (target,), {flip(v) for v in terminals}, ())
-    stub = {v: [v] for v in terminals}
-    for x, path in drained.items():
-        stub[flip(x)] = [flip(w) for w in path]
-    return TwoRowsStep(target, {idx: tuple(stub[s] + stub[t][::-1]) for s, t, idx in pairs})
+    drained = drain_block(cols, (top,), (target,), {flip(v) for v in occupied}, ())
+    stub = {flip(x): [flip(w) for w in path] for x, path in drained.items()}
+    return TwoRowsStep(target, {idx: tuple(stub.get(s, [s]) + stub.get(t, [t])[::-1])
+                                for s, t, idx in pairs})
 
 
-def _case_line_pair(rows, cols, pairs, chosen):
+def _case_line_pair(rows, cols, pairs, chosen, occupied):
     # each other terminal of the column hops across its own row; one whose
     # row is full detours through a spare row, and counting terminals
     # against 2k <= d1' + d2' (with d2' >= 2) leaves enough spare rows
     s1, t1, i1 = chosen
     col0 = s1[1]
-    occupied = {v for s, t, _ in pairs for v in (s, t)}
     rest_cols = tuple(c for c in cols if c != col0)
     drained = drain_block(rows, (col0,), rest_cols, occupied, (s1, t1))
-    moves = _Moves(occupied)
-    for x, path in drained.items():
-        moves.apply(x, path)
     staying = sorted(v for v in occupied if v[1] != col0)
-    rec_pairs = []
-    stubs = {}
-    for s, t, idx in pairs:
-        if idx == i1:
-            continue
-        rec_pairs.append((moves.dest(s), moves.dest(t), idx))
-        stub_s, stub_t = moves.stub(s), moves.stub(t)
-        if stub_s is not None or stub_t is not None:
-            stubs[idx] = (stub_s, stub_t)
+    rec_pairs, stubs = _carry(pairs, drained, i1)
+    for x, path in drained.items():
+        occupied.discard(x)
+        occupied.add(path[-1])
+    occupied.difference_update((s1, t1))
     step = LinePairStep(i1, col0, (s1, t1), tuple(sorted(drained)), tuple(staying), stubs)
-    return step, (rows, rest_cols, rec_pairs)
+    return step, (rows, rest_cols, rec_pairs, occupied)
 
 
-def _case_two_columns(rows, cols, pairs):
+def _case_two_columns(rows, cols, pairs, occupied):
     s1, t1, i1 = pairs[0]
     block_cols = (s1[1], t1[1])
     block_set = frozenset(block_cols)
     rest_cols = tuple(c for c in cols if c not in block_set)
     anchors = {s1, t1}
-    occupied = {v for s, t, _ in pairs for v in (s, t)}
     d1p = len(rows) - 1
     block_terms = sorted(v for v in occupied if v[1] in block_set)
     slack = d1p + 2 - len(block_terms)
@@ -391,14 +388,13 @@ def _case_two_columns(rows, cols, pairs):
     if any(v[0] == bend for v in others):
         raise SolverInvariantError("plain terminal on the bridge row")
 
-    moves = _Moves(occupied)
+    moves = _Moves()
     matching = None
     # The saturated rows never outnumber the slack: 2k <= d1' + d2' leaves
     # at most d2' - 2 + slack terminals outside the block, a full row takes
     # d2' - 1 of them, and slack + 1 full rows would need
     # slack * (d2' - 2) < 0 (this case runs on at least three columns).
-    full_rows = tuple(r for r in rows
-                      if all(Vertex(r, c) in occupied for c in rest_cols))
+    full_rows = tuple(r for r in rows if all((r, c) in occupied for c in rest_cols))
     if len(full_rows) > slack:
         raise SolverInvariantError("more saturated rows than the occupancy slack allows")
     top_rows = tuple(sorted({bend, *full_rows}))
@@ -411,10 +407,10 @@ def _case_two_columns(rows, cols, pairs):
     in_block = len(others) - len(movers)
     pushes = {}
     for x in movers:
-        mate = Vertex(x[0], block_cols[1] if x[1] == block_cols[0] else block_cols[0])
+        mate = (x[0], block_cols[1] if x[1] == block_cols[0] else block_cols[0])
         for how, path in (("down", [x]), ("across", [x, mate])):
             c = path[-1][1]
-            down = next((r for r in low_rows if Vertex(r, c) not in occupied), None)
+            down = next((r for r in low_rows if (r, c) not in occupied), None)
             if down is not None and occupied.isdisjoint(path[1:]):
                 break
         else:
@@ -432,14 +428,15 @@ def _case_two_columns(rows, cols, pairs):
             # does, m' = t' = 0, so its row-mate cell and the other
             # column's low cells are free.
             raise SolverInvariantError(f"mover {tuple(x)} has no reachable low-block cell")
-        path.append(Vertex(down, c))
+        path.append((down, c))
         pushes[x] = how
         occupied.discard(x)
         occupied.add(path[-1])
         moves.apply(x, path)
-    if any(v[1] in block_set and v[0] in low_rows and v not in anchors for v in occupied):
+    if others:
+        # every plain block terminal now sits on a low row
         for r in low_rows:
-            if all(Vertex(r, c) in occupied for c in rest_cols):
+            if all((r, c) in occupied for c in rest_cols):
                 raise SolverInvariantError("destination row saturated after relabeling")
         matching = doubled_row_matching(low_rows, block_cols, rest_cols, occupied, anchors)
         drained = drain_block(low_rows, block_cols, rest_cols, occupied, anchors, matching)
@@ -448,62 +445,57 @@ def _case_two_columns(rows, cols, pairs):
             occupied.discard(cur)
             occupied.add(path[-1])
             moves.apply(cur, path)
-
-    rec_pairs = []
-    stubs = {}
     rest_set = frozenset(rest_cols)
-    for s, t, idx in pairs[1:]:
-        ns, nt = moves.dest(s), moves.dest(t)
-        if ns[1] not in rest_set or nt[1] not in rest_set:
-            raise SolverInvariantError("a terminal was left behind in the deleted columns")
-        rec_pairs.append((ns, nt, idx))
-        stub_s, stub_t = moves.stub(s), moves.stub(t)
-        if stub_s is not None or stub_t is not None:
-            stubs[idx] = (stub_s, stub_t)
+    if any(x not in moves.path or moves.path[x][-1][1] not in rest_set for x in others):
+        raise SolverInvariantError("a terminal was left behind in the deleted columns")
+    occupied.difference_update(anchors)
+    rec_pairs, stubs = _carry(pairs, moves.path, i1)
     step = TwoColumnStep(i1, block_cols, slack, bend, tuple(bridge), top_rows,
                          pushes or None, len(movers), in_block, matching, stubs)
-    return step, (rows, rest_cols, rec_pairs)
+    return step, (rows, rest_cols, rec_pairs, occupied)
 
 
-def _transpose(rows, cols, pairs, reason):
+def _transpose(rows, cols, pairs, occupied, reason):
     flipped = [(flip(s), flip(t), idx) for s, t, idx in pairs]
-    return TransposeStep(reason), (cols, rows, flipped)
+    return TransposeStep(reason), (cols, rows, flipped, {flip(v) for v in occupied})
 
 
-def _next_step(rows, cols, pairs, retransposed):
+def _next_step(rows, cols, pairs, occupied, retransposed):
     """The case step for this problem and the smaller problem it leaves
-    (None after a base case)."""
+    (None after a base case); occupied holds every pair's terminals, and
+    a case step updates it in place for the smaller problem."""
     if len(rows) > 2 >= len(cols) or len(rows) > 1 == len(cols):
         # a lone column, even of two cells, is routed as a row clique
-        return _transpose(rows, cols, pairs, "narrow-side-first")
+        return _transpose(rows, cols, pairs, occupied, "narrow-side-first")
     if len(rows) == 1:
         return _base_single_row(rows, pairs), None
     if len(rows) == 2:
-        return _base_two_rows(rows, cols, pairs), None
+        return _base_two_rows(rows, cols, pairs, occupied), None
     for s, t, idx in pairs:
         if s[1] == t[1]:
-            return _case_line_pair(rows, cols, pairs, (s, t, idx))
+            return _case_line_pair(rows, cols, pairs, (s, t, idx), occupied)
         if s[0] == t[0]:
-            return _transpose(rows, cols, pairs, "pair-in-row")
+            return _transpose(rows, cols, pairs, occupied, "pair-in-row")
     s1, t1, _ = pairs[0]
     block = {s1[1], t1[1]}
-    in_block = sum(1 for s, t, _ in pairs for v in (s, t) if v[1] in block)
+    in_block = sum(1 for v in occupied if v[1] in block)
     if in_block > len(rows) + 1:
         if retransposed:
             raise SolverInvariantError("both the column and the row block overflow")
-        return _transpose(rows, cols, pairs, "two-column-overflow")
-    return _case_two_columns(rows, cols, pairs)
+        return _transpose(rows, cols, pairs, occupied, "two-column-overflow")
+    return _case_two_columns(rows, cols, pairs, occupied)
 
 
 def _solve(rows, cols, pairs, steps) -> None:
     """Append case steps to steps until a base case or no pair is left."""
+    occupied = {v for s, t, _ in pairs for v in (s, t)}
     retransposed = False
     while pairs:
-        step, reduced = _next_step(rows, cols, pairs, retransposed)
+        step, reduced = _next_step(rows, cols, pairs, occupied, retransposed)
         steps.append(step)
         if reduced is None:
             return
-        rows, cols, pairs = reduced
+        rows, cols, pairs, occupied = reduced
         retransposed = isinstance(step, TransposeStep) and step.reason == "two-column-overflow"
 
 
@@ -538,7 +530,7 @@ def replay(problem: LinkageProblem, trace: SolverTrace) -> Linkage:
     solve() builds its own linkage this way too: the last step's paths
     come first, and each earlier step stitches its stubs onto them.
     """
-    acc: dict[int, list[Vertex]] = {}
+    acc: dict[int, list[Cell]] = {}
     for step in reversed(trace.steps):
         if isinstance(step, TransposeStep):
             acc = {i: [flip(v) for v in p] for i, p in acc.items()}
@@ -546,5 +538,6 @@ def replay(problem: LinkageProblem, trace: SolverTrace) -> Linkage:
             for i, p in step.paths.items():
                 acc[i] = list(p)
         else:
-            acc = _finish(step, acc)
-    return Linkage(tuple(tuple(acc[i]) for i in range(len(problem.pairs))))
+            _finish(step, acc)
+    # the steps route on plain (r, c) tuples; the linkage holds vertices
+    return Linkage(tuple(tuple(map(Vertex._make, acc[i])) for i in range(len(problem.pairs))))

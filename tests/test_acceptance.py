@@ -196,6 +196,21 @@ def test_criterion_7_large_instance_under_five_seconds(capsys):
                       f" in {elapsed:.2f}s")
 
 
+def test_criterion_7_scenario_150_under_five_seconds(capsys):
+    # the ROADMAP's 150x150 scenario at the same bound: 151 x 151, k=150
+    rng = random.Random(150)
+    grid = ProductGraph(150, 150)
+    terms = sorted(rng.sample(sorted(grid.subgrid().vertices()), 300))
+    p = LinkageProblem(grid, tuple(random_pairing(terms, rng)))
+    started = time.perf_counter()
+    link, _ = solve(p)
+    elapsed = time.perf_counter() - started
+    assert verify(p, link).ok
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    _announce(capsys, f"ACCEPTANCE 7 (150x150) PASS: d1=d2=150, k=150 solved and"
+                      f" verified in {elapsed:.2f}s")
+
+
 def test_criterion_8_determinism(capsys):
     p = LinkageProblem(ProductGraph(4, 5), (
         (V(0, 0), V(1, 1)), (V(2, 2), V(3, 3)), (V(4, 4), V(0, 5)),

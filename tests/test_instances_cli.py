@@ -8,7 +8,7 @@ import pytest
 import rooklink.cli
 from rooklink import (InstanceFormatError, ProductGraph, SolverInvariantError,
                       SolverTrace, Vertex, parse_instance, parse_linkage,
-                      serialize_instance, serialize_linkage)
+                      render_trace, serialize_instance, serialize_linkage)
 from rooklink.cli import main
 from rooklink.solver import TransposeStep
 
@@ -278,6 +278,35 @@ class TestCliFuzz:
         main(["fuzz", "--count", "12", "--seed", "5", "--workers", "2"])
         parallel = capsys.readouterr().out
         assert sequential == parallel
+
+    def test_solver_failure_is_written_out_and_the_campaign_goes_on(
+            self, capsys, monkeypatch, tmp_path):
+        # instance 3 fails inside the solver: the other eleven still run,
+        # and the failing one is written out with its partial trace
+        main(["fuzz", "--count", "12", "--seed", "5"])
+        clean = capsys.readouterr().out
+        real, seen = rooklink.cli.solve, []
+
+        def flaky(problem):
+            seen.append(problem)
+            link, trace = real(problem)
+            if len(seen) == 4:
+                raise SolverInvariantError("injected", SolverTrace(trace.steps[:1]))
+            return link, trace
+
+        monkeypatch.setattr(rooklink.cli, "solve", flaky)
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzz", "--count", "12", "--seed", "5", "--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == clean.replace("successes=12", "successes=11").replace(
+            "passes=12", "passes=11")
+        assert "instance 3; wrote fail-5-3.txt" in captured.err
+        assert [f.name for f in tmp_path.iterdir()] == ["fail-5-3.txt"]
+        text = (tmp_path / "fail-5-3.txt").read_text(encoding="utf-8")
+        partial = render_trace(SolverTrace(real(seen[3])[1].steps[:1]))
+        assert partial.startswith("step 1: ")
+        assert text == serialize_instance(seen[3]) + f"# error: injected\n# {partial}\n"
+        assert parse_instance(text) == seen[3]
 
     def test_malformed_range_exits_2(self, capsys):
         assert main(["fuzz", "--count", "1", "--d1-range", "junk"]) == 2

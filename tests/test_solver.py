@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -11,7 +12,7 @@ from rooklink import (LinkageProblem, ProblemContractError, ProductGraph,
                       bridge_candidates, bridge_path, cyclic_dual_params,
                       doubled_row_matching, drain_block, exhaustive_solve,
                       max_guaranteed_pairs, random_pairing, render_trace,
-                      replay, solve, verify)
+                      replay, serialize_linkage, solve, verify)
 import rooklink.menger
 import rooklink.solver
 from rooklink.solver import LinePairStep, TransposeStep, TwoColumnStep, TwoRowsStep
@@ -464,6 +465,40 @@ class TestDeterminism:
             p = LinkageProblem(grid, tuple(random_pairing(terms, rng)))
             link, trace = solve(p)
             assert replay(p, trace) == link
+
+
+def _bounded(rng, d1, d2, k):
+    grid = ProductGraph(d1, d2)
+    terms = sorted(rng.sample(sorted(grid.subgrid().vertices()), 2 * k))
+    return LinkageProblem(grid, tuple(random_pairing(terms, rng)))
+
+
+class TestPinnedOutput:
+    def test_seeded_mix_matches_recorded_digest(self):
+        # linkages and traces of a seeded mix at the bound, hashed; the
+        # digest was recorded before the case steps moved to plain tuples
+        rng = random.Random(4242)
+        problems = []
+        for _ in range(2000):
+            d1, d2 = rng.randint(2, 8), rng.randint(2, 8)
+            problems.append(_bounded(rng, d1, d2, max_guaranteed_pairs(d1, d2)))
+        problems += [_bounded(rng, d, d, d) for d in (60, 100)]
+        digest = hashlib.sha256()
+        for p in problems:
+            link, trace = solve(p)
+            digest.update(serialize_linkage(link.paths).encode())
+            digest.update(render_trace(trace).encode())
+        assert digest.hexdigest() == (
+            "286a03ddfff4249c2f59bc4367b5a7f9ee82d583c6f70f776b486ff4e1250684")
+
+    @pytest.mark.parametrize("d1, d2, seed", [(2, 3, 1), (5, 4, 2), (8, 8, 3), (100, 100, 4)])
+    def test_paths_hold_vertices_only(self, d1, d2, seed):
+        # the case steps route on plain (r, c) tuples; a tuple that leaked
+        # into a path would print as (1, 2) where a Vertex prints (1,2)
+        p = _bounded(random.Random(seed), d1, d2, max_guaranteed_pairs(d1, d2))
+        link, trace = solve(p)
+        for linkage in (link, replay(p, trace)):
+            assert all(type(v) is Vertex for path in linkage.paths for v in path)
 
 
 @st.composite
