@@ -4,13 +4,13 @@ Subcommands: solve, verify, oracle, connectivity, sharpness, fuzz,
 cyclic-dual.  Exit codes are stable across commands: 0 success/pass,
 1 verification failure or infeasible (for fuzz: some instance failed to
 solve or to verify; the campaign still runs to the end), 2 input error (an
-InstanceFormatError or a ProblemContractError), 3 indeterminate,
-4 internal error (a SolverInvariantError, reported on stderr with the
-solver's trace, or any other ValueError: either way a bug), and 141
-when the reader of stdout closed the pipe early (as if killed by
-SIGPIPE; nothing more is printed).  Randomised commands are
-reproducible from their seed; timing is printed to stderr so stdout
-stays byte-identical across runs.
+InstanceFormatError or a ProblemContractError), 3 indeterminate (or a
+board past connectivity's size guard), 4 internal error (a
+SolverInvariantError, reported on stderr with the solver's trace, or any
+other ValueError: either way a bug), and 141 when the reader of stdout
+closed the pipe early (as if killed by SIGPIPE; nothing more is
+printed).  Randomised commands are reproducible from their seed; timing
+is printed to stderr so stdout stays byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1`
+CONNECTIVITY_MAX_VERTICES = 400  # connectivity costs about (d1 + d2)^4.5
 
 
 def _read(path: str) -> str:
@@ -80,6 +81,11 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_connectivity(args) -> int:
     grid = ProductGraph(args.d1, args.d2)
+    n = grid.vertex_count
+    if grid.d1 and grid.d2 and n > CONNECTIVITY_MAX_VERTICES:  # cliques need no flow
+        print(f"error: board too large for connectivity ({n} vertices"
+              f" > {CONNECTIVITY_MAX_VERTICES})", file=sys.stderr)
+        return EXIT_INDETERMINATE
     print(connectivity(grid.subgrid()))
     return EXIT_OK
 

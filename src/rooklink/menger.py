@@ -10,6 +10,10 @@ over a fixed arc order, so results are deterministic.
 Extracted flow paths are normalised into A-B paths: each returned path
 meets A only at its first vertex and B only at its last one (a vertex in
 both A and B yields a single-vertex path).
+
+connectivity only counts: it runs 2(m-1)(n-1) local flows on an m x n
+subgrid (Esfahanian-Hakimi), each capped at the best value so far, and
+extracts no paths.
 """
 
 from __future__ import annotations
@@ -123,9 +127,10 @@ class _FlowNet:
                         push(v)
         return False
 
-    def max_flow(self) -> int:
+    def max_flow(self, cap: int | None = None) -> int:
+        """Augment until the sink is cut off or the flow value reaches cap."""
         value = 0
-        while self.augment():
+        while value != cap and self.augment():
             value += 1
         return value
 
@@ -162,20 +167,6 @@ class _FlowNet:
         return paths
 
 
-def _max_path_system(s: Subgrid, a_set, b_set, forbidden) -> list[list[Vertex]]:
-    forb = set(forbidden)
-    active = {v for v in s.vertices() if v not in forb}
-    a_sorted = sorted(set(a_set))
-    b_sorted = sorted(set(b_set))
-    for v in a_sorted + b_sorted:
-        s.require(v)
-        if v in forb:
-            raise ValueError(f"endpoint {tuple(v)} is forbidden")
-    net = _FlowNet(s, active, a_sorted, b_sorted)
-    net.max_flow()
-    return net.extract(a_sorted, b_sorted)
-
-
 def disjoint_paths(s: Subgrid, a_set, b_set, forbidden=(),
                    k: int | None = None) -> list[list[Vertex]] | None:
     """k pairwise vertex-disjoint A-B paths avoiding forbidden vertices.
@@ -191,7 +182,14 @@ def disjoint_paths(s: Subgrid, a_set, b_set, forbidden=(),
         k = len(a_sorted)
     if k < 0 or k > min(len(a_sorted), len(b_sorted)):
         raise ValueError(f"k={k} exceeds min(|A|,|B|)={min(len(a_sorted), len(b_sorted))}")
-    paths = _max_path_system(s, a_sorted, b_sorted, forbidden)
+    forb = set(forbidden)
+    for v in a_sorted + b_sorted:
+        s.require(v)
+        if v in forb:
+            raise ValueError(f"endpoint {tuple(v)} is forbidden")
+    net = _FlowNet(s, {v for v in s.vertices() if v not in forb}, a_sorted, b_sorted)
+    net.max_flow()
+    paths = net.extract(a_sorted, b_sorted)
     if len(paths) < k:
         return None
     return paths[:k]
@@ -200,23 +198,31 @@ def disjoint_paths(s: Subgrid, a_set, b_set, forbidden=(),
 def connectivity(s: Subgrid) -> int:
     """Vertex connectivity of the induced graph.
 
-    Complete graphs (a single active row or column) have connectivity
-    |V| - 1; otherwise this is the minimum over nonadjacent pairs u, v of
-    the maximum number of internally disjoint u-v paths.  Full grids with
-    both dimensions positive come out to exactly d1 + d2.
+    A single active row or column is complete: |V| - 1.  Otherwise kappa
+    is the least number of internally disjoint u-v paths over nonadjacent
+    pairs u, v, and by Esfahanian and Hakimi (Networks 14, 1984) two
+    families of pairs suffice, for any fixed vertex v (here the first
+    one).  Take a minimum cut S.  If v is not in S, S separates v from a
+    vertex u of another component, and u is not adjacent to v.  If v is
+    in S, v has a neighbour in every component of G - S (else S - v would
+    cut), so S separates two nonadjacent neighbours of v; on a rook's
+    graph those are one in v's row and one in v's column.  That is
+    2(m-1)(n-1) local flows on m x n.  Each stops once it reaches the best
+    value so far, which starts at the degree (no noncomplete graph is
+    more connected than that).  Full grids with both dimensions positive
+    come out to exactly d1 + d2.
     """
     n = s.vertex_count
     if n < 2:
         raise ProblemContractError("connectivity undefined on a single vertex")
     if s.n_rows == 1 or s.n_cols == 1:
         return n - 1
-    verts = sorted(s.vertices())
-    best = n - 1
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if u[0] == v[0] or u[1] == v[1]:
-                continue
-            local = len(_max_path_system(s, s.neighbors(u), s.neighbors(v), {u, v}))
-            if local < best:
-                best = local
+    active = set(s.vertices())
+    r0, c0 = s.rows[0], s.cols[0]
+    best = s.n_rows + s.n_cols - 2
+    for r in s.rows[1:]:
+        for c in s.cols[1:]:
+            for x, y in (((r0, c0), (r, c)), ((r0, c), (r, c0))):
+                net = _FlowNet(s, active - {x, y}, s.neighbors(x), s.neighbors(y))
+                best = net.max_flow(best)
     return best

@@ -155,6 +155,19 @@ def render_trace(trace: SolverTrace) -> str:
 # reusable routing pieces (each independently testable)
 
 
+def _bridges(rows, block_cols, s: Cell, t: Cell):
+    """bridge_candidates' candidates in their order, built one at a time."""
+    c_s, c_t = s[1], t[1]
+    if {c_s, c_t} != set(block_cols) or c_s == c_t or s[0] == t[0]:
+        raise SolverInvariantError(
+            "bridge endpoints must span the two block columns on distinct rows")
+    yield [s, (s[0], c_t), t], s[0]
+    yield [s, (t[0], c_s), t], t[0]
+    for r in rows:
+        if r != s[0] and r != t[0]:
+            yield [s, (r, c_s), (r, c_t), t], r
+
+
 def bridge_candidates(rows, block_cols, s: Cell, t: Cell):
     """The len(rows)-many internally disjoint s-t paths inside two columns.
 
@@ -162,15 +175,7 @@ def bridge_candidates(rows, block_cols, s: Cell, t: Cell):
     length-three path through every remaining row; each candidate is
     returned with the row that contributes both of its block entries.
     """
-    c_s, c_t = s[1], t[1]
-    if {c_s, c_t} != set(block_cols) or c_s == c_t or s[0] == t[0]:
-        raise SolverInvariantError(
-            "bridge endpoints must span the two block columns on distinct rows")
-    cands = [([s, (s[0], c_t), t], s[0]), ([s, (t[0], c_s), t], t[0])]
-    for r in rows:
-        if r != s[0] and r != t[0]:
-            cands.append(([s, (r, c_s), (r, c_t), t], r))
-    return cands
+    return list(_bridges(rows, block_cols, s, t))
 
 
 def bridge_path(rows, block_cols, s: Cell, t: Cell, occupied: set) -> tuple[list[Cell], int]:
@@ -179,7 +184,7 @@ def bridge_path(rows, block_cols, s: Cell, t: Cell, occupied: set) -> tuple[list
     At most len(rows) - 1 terminals other than s, t can sit in the two
     columns and the candidates are internally disjoint, so one is free.
     """
-    for path, bend in bridge_candidates(rows, block_cols, s, t):
+    for path, bend in _bridges(rows, block_cols, s, t):
         if occupied.isdisjoint(path[1:-1]):
             return path, bend
     raise SolverInvariantError("every bridge candidate is blocked; occupancy cap violated")

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from rooklink import LinkageProblem, ProductGraph, Subgrid, Vertex, all_pairings
+from rooklink import (LinkageProblem, ProductGraph, Subgrid, Vertex, all_pairings,
+                      disjoint_paths)
 
 
 def routing_margin_holds(x: int, y: int) -> bool:
@@ -97,6 +98,27 @@ def brute_connectivity(sub: Subgrid) -> int:
             if len(alive) >= 2 and not connected(alive):
                 return size
     return n - 1
+
+
+def all_pairs_connectivity(sub: Subgrid) -> int:
+    """Reference kappa: the least local connectivity over every
+    nonadjacent pair, each counted with the public disjoint_paths (the
+    most N(u)-N(v) paths that avoid u and v)."""
+    n = sub.vertex_count
+    if sub.n_rows == 1 or sub.n_cols == 1:
+        return n - 1
+    verts = sorted(sub.vertices())
+    best = n - 1
+    for i, u in enumerate(verts):
+        for v in verts[i + 1:]:
+            if u[0] == v[0] or u[1] == v[1]:
+                continue
+            a_set, b_set = sub.neighbors(u), sub.neighbors(v)
+            local = min(len(a_set), len(b_set))
+            while disjoint_paths(sub, a_set, b_set, {u, v}, local) is None:
+                local -= 1
+            best = min(best, local)
+    return best
 
 
 def check_ab_system(sub: Subgrid, paths, a_set, b_set, forbidden=()):

@@ -208,6 +208,26 @@ class TestCliConnectivity:
         assert main(["connectivity", "2", "3"]) == 4
         assert capsys.readouterr().err == "internal error: boom\n"
 
+    def test_large_board_is_refused_before_any_flow(self, capsys, monkeypatch):
+        def refused(sub):
+            raise AssertionError("connectivity ran past the size guard")
+
+        monkeypatch.setattr(rooklink.cli, "connectivity", refused)
+        assert main(["connectivity", "20", "20"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: board too large for connectivity (441 vertices > 400)\n"
+
+    def test_four_hundred_vertices_pass_the_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(rooklink.cli, "connectivity", lambda sub: sub.vertex_count)
+        assert main(["connectivity", "19", "19"]) == 0
+        assert capsys.readouterr().out == "400\n"
+
+    @pytest.mark.parametrize("d1,d2", [(0, 500), (500, 0)])
+    def test_cliques_are_never_guarded(self, capsys, d1, d2):
+        assert main(["connectivity", str(d1), str(d2)]) == 0
+        assert capsys.readouterr().out == "500\n"
+
 
 class TestCliSharpness:
     def test_counterexample_found(self, capsys):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_ab_feasible, brute_connectivity, check_ab_system
-from rooklink import ProductGraph, Subgrid, Vertex, connectivity, disjoint_paths
+from helpers import all_pairs_connectivity, brute_ab_feasible, brute_connectivity, check_ab_system
+from rooklink import ProductGraph, Subgrid, Vertex, connectivity, disjoint_paths, menger
 
 
 def full(d1, d2):
@@ -123,9 +123,46 @@ class TestConnectivity:
             connectivity(full(0, 0))
 
     def test_matches_dimension_sum_on_small_grids(self):
-        for d1 in range(1, 4):
-            for d2 in range(1, 4):
+        # every shape the connectivity benchmark draws, up to 9x9
+        for d1 in range(1, 9):
+            for d2 in range(1, 9):
                 assert connectivity(full(d1, d2)) == d1 + d2
+
+    def test_matches_all_pairs_on_full_grids(self):
+        for d1 in range(1, 5):
+            for d2 in range(1, 5):
+                sub = full(d1, d2)
+                assert connectivity(sub) == all_pairs_connectivity(sub)
+
+    def test_matches_all_pairs_on_random_subgrids(self):
+        rng = random.Random(10)
+        base = ProductGraph(7, 7)
+        labels = range(8)
+        checked = 0
+        while checked < 200:
+            n_rows = rng.randint(1, 8)
+            n_cols = rng.randint(1, min(8, 30 // n_rows))
+            if n_rows * n_cols < 2:
+                continue
+            sub = Subgrid(base, tuple(rng.sample(labels, n_rows)), tuple(rng.sample(labels, n_cols)))
+            assert connectivity(sub) == all_pairs_connectivity(sub), (sub.rows, sub.cols)
+            checked += 1
+
+    def test_two_flows_per_cell_off_the_first_row_and_column(self, monkeypatch):
+        # 2(m-1)(n-1) capped local flows on m x n, none decomposed into paths
+        built = []
+
+        class CountingNet(menger._FlowNet):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+            def extract(self, *args):
+                raise AssertionError("connectivity extracted paths")
+
+        monkeypatch.setattr(menger, "_FlowNet", CountingNet)
+        assert connectivity(full(8, 8)) == 16
+        assert len(built) == 128
 
     def test_subgrid_connectivity(self):
         sub = Subgrid(ProductGraph(3, 4), (0, 2, 3), (1, 4))
