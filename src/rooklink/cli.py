@@ -6,11 +6,13 @@ cyclic-dual.  Exit codes are stable across commands: 0 success/pass,
 solve or to verify; the campaign still runs to the end), 2 input error (an
 InstanceFormatError or a ProblemContractError), 3 indeterminate (or a
 board past connectivity's size guard), 4 internal error (a
-SolverInvariantError, reported on stderr with the solver's trace, or any
-other ValueError: either way a bug), and 141 when the reader of stdout
-closed the pipe early (as if killed by SIGPIPE; nothing more is
-printed).  Randomised commands are reproducible from their seed; timing
-is printed to stderr so stdout stays byte-identical across runs.
+SolverInvariantError, reported on stderr with the solver's trace, as is
+a solved linkage that fails verify, which solve checks before printing
+anything; or any other ValueError: either way a bug), and 141 when the
+reader of stdout closed the pipe early (as if killed by SIGPIPE; nothing
+more is printed).  Randomised commands are reproducible from their
+seed; timing is printed to stderr so stdout stays byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -47,7 +49,12 @@ def _read(path: str) -> str:
 
 
 def _cmd_solve(args) -> int:
-    linkage, trace = solve(parse_instance(_read(args.instance)))
+    problem = parse_instance(_read(args.instance))
+    linkage, trace = solve(problem)
+    # nothing is printed that the independent verifier has not passed
+    report = verify(problem, linkage)
+    if not report.ok:
+        raise SolverInvariantError(f"solver output fails verify: {report.reason}", trace)
     sys.stdout.write(serialize_linkage(linkage.paths))
     if args.trace:
         print(render_trace(trace))

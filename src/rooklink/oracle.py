@@ -404,6 +404,13 @@ def _orbit_instances(grid: ProductGraph, k: int):
     for pattern in _patterns(m, n, 2 * k, tables, square):
         cells, gens = _symmetries(pattern, m, tables, square)
         verts = [Vertex(c, r) if flipped else Vertex(r, c) for r, c in cells]
+        if m == 1:
+            # one row: the 2k cells fill 2k equal columns, whose swap and
+            # cycle generate every permutation of the cells, so all
+            # (2k - 1)!! pairings are one orbit and the first stands for it
+            first = next(all_pairings(range(2 * k)))
+            yield LinkageProblem(grid, tuple((verts[a], verts[b]) for a, b in first))
+            continue
         moves = [(g, sorted(range(2 * k), key=g.__getitem__)) for g in gens]
         seen = bytearray(prod(range(1, 2 * k, 2)))  # one flag per pairing, by rank
         for rank, pairing in enumerate(all_pairings(range(2 * k))):

@@ -13,22 +13,24 @@ better side to peel) and hands the smaller problem to the next step:
   the other row, detouring through an empty column when the cell below
   is taken, and the row clique finishes the job;
 * some pair shares a column: that pair is an edge; each other terminal
-  of the column steps across its own row into the first free cell, or
-  through a spare row when its own row is full, and the column is
-  deleted;
+  of the column steps across its own row, or through a spare row when
+  its own row is full, into its partner's column when that cell is
+  free (leaving a pair that shares a column for the next step) and into
+  the first free cell otherwise, and the column is deleted;
 * otherwise a pair spanning two columns is bridged inside them, the
   block terminals on rows that are full outside the two columns move
   first, each down its own block column into a free cell of a lower
   row, or across to the other block column and down that one, the
   remaining terminals of those columns are walked out into free entries
-  of the rest of the grid, and both columns are deleted.  The full rows
-  never outnumber the block's slack (the full-rows bound, argued at its
-  check), and a counting argument at the relocation shows it never
-  runs out of room.
+  of the rest of the grid, their partners' columns first, and both
+  columns are deleted.  The full rows never outnumber the block's slack
+  (the full-rows bound, argued at its check), and a counting argument at
+  the relocation shows it never runs out of room.
 
 Every evacuation is one call to drain_block, and no step uses the
 max-flow engine.  The steps run in a loop, not by recursion, and share
-one occupancy set, which each step updates with its own moves only.
+one map from each terminal's cell to its partner's cell (its keys are
+the occupied cells), which each step updates with its own moves only.
 They route on plain (r, c) tuples; the linkage is folded back out of
 the finished trace by the same code that replays it, and replay builds
 its Vertex objects.
@@ -91,7 +93,7 @@ class LinePairStep:
     column: int
     bridge: tuple[Cell, ...]
     moved: tuple[Cell, ...]
-    staying: tuple[Cell, ...]
+    staying: int  # terminals left outside the column
     stubs: dict[int, tuple]
 
 
@@ -135,7 +137,7 @@ def render_trace(trace: SolverTrace) -> str:
         elif isinstance(st, LinePairStep):
             lines.append(
                 f"step {n}: pair-in-column pair={st.pair + 1} column={st.column}"
-                f" bridge={_fmt_path(st.bridge)} moved={len(st.moved)} staying={len(st.staying)}"
+                f" bridge={_fmt_path(st.bridge)} moved={len(st.moved)} staying={st.staying}"
             )
         else:
             pushes = "-" if st.pushes is None else ",".join(
@@ -239,28 +241,42 @@ def doubled_row_matching(rows, block_cols, dest_cols, occupied, anchors) -> dict
 
 
 def drain_block(rows, block_cols, dest_cols, occupied, anchors,
-                matching: dict[int, int] | None = None) -> dict[Cell, list[Cell]]:
+                matching: dict[int, int] | None = None,
+                partner: dict[Cell, Cell] | None = None) -> dict[Cell, list[Cell]]:
     """Walk every plain terminal out of the block into the destination
     columns; the block is one or two columns wide.
 
-    A plain terminal crosses straight into the first free entry of its
-    own destination row, except that a row matched to a spare row (see
+    A plain terminal crosses straight into a free entry of its own
+    destination row, except that a row matched to a spare row (see
     doubled_row_matching) sends one terminal through the spare row's free
-    block entry in that terminal's column and on to the spare row's first
-    free destination entry.  All paths are pairwise disjoint, never pass
-    through a terminal, and no destination row receives more than one
-    endpoint.  A doubled row needs a free destination entry of its own
-    for the terminal that stays; a lone terminal that detours needs its
-    spare row's entry in its own column free, which holds in a one-column
-    block and for every spare row without an anchor.
+    block entry in that terminal's column and on to a free destination
+    entry of the spare row.  The entry taken is the one in the column of
+    the terminal's partner (partner maps each plain terminal to its
+    partner's cell) when that column is a destination column and the
+    entry is free, so the pair is left sharing a column; otherwise it is
+    the row's first free entry.  All paths are pairwise disjoint, never
+    pass through a terminal, and no destination row receives more than
+    one endpoint.  A doubled row needs a free destination entry of its
+    own for the terminal that stays; a lone terminal that detours needs
+    its spare row's entry in its own column free, which holds in a
+    one-column block and for every spare row without an anchor.
+
+    Which free entry of its row a path ends on does not matter to any
+    counting argument: a path meets the destination columns only at its
+    endpoint, so every free entry of a row that receives one endpoint is
+    unclaimed, and the solver's cases ask only for one free entry in
+    each destination row.
     """
     plain_rows = _plain_by_row(rows, block_cols, occupied, set(anchors))
     if matching is None:
         matching = _match_spares(plain_rows, rows, block_cols, dest_cols, occupied)
+    dest_set = frozenset(dest_cols)
 
-    def end(r: int) -> Cell:
-        # each destination row takes one endpoint, so its first free
-        # entry cannot have been claimed by another path
+    def end(r: int, x: Cell) -> Cell:
+        if partner is not None:
+            c = partner[x][1]
+            if c in dest_set and (r, c) not in occupied:
+                return r, c
         w = _free_dest(r, dest_cols, occupied)
         if w is None:
             raise SolverInvariantError(f"no free destination entry in row {r}")
@@ -273,12 +289,12 @@ def drain_block(rows, block_cols, dest_cols, occupied, anchors,
             detour = next((x for x in plain if (spare, x[1]) not in occupied), None)
             if detour is None:
                 raise SolverInvariantError(f"spare row {spare} has no free block entry")
-            out[detour] = [detour, (spare, detour[1]), end(spare)]
+            out[detour] = [detour, (spare, detour[1]), end(spare, detour)]
             plain = [x for x in plain if x != detour]
         elif len(plain) > 1:
             raise SolverInvariantError(f"doubled row {r} missing from the matching")
         for x in plain:
-            out[x] = [x, end(r)]
+            out[x] = [x, end(r, x)]
     return out
 
 
@@ -299,6 +315,14 @@ class _Moves:
         prev = self.path.get(origin)
         self.path[origin] = prev[:-1] + path if prev else path
         self.origin_of[path[-1]] = origin
+
+
+def _relocate(occupied, x: Cell, y: Cell) -> None:
+    """Move the terminal at x to the free cell y, in its own entry and in
+    its partner's."""
+    partner = occupied.pop(x)
+    occupied[y] = partner
+    occupied[partner] = y
 
 
 def _carry(pairs, moved, done: int):
@@ -366,14 +390,13 @@ def _case_line_pair(rows, cols, pairs, chosen, occupied):
     s1, t1, i1 = chosen
     col0 = s1[1]
     rest_cols = tuple(c for c in cols if c != col0)
-    drained = drain_block(rows, (col0,), rest_cols, occupied, (s1, t1))
-    staying = sorted(v for v in occupied if v[1] != col0)
+    drained = drain_block(rows, (col0,), rest_cols, occupied, (s1, t1), partner=occupied)
     rec_pairs, stubs = _carry(pairs, drained, i1)
     for x, path in drained.items():
-        occupied.discard(x)
-        occupied.add(path[-1])
-    occupied.difference_update((s1, t1))
-    step = LinePairStep(i1, col0, (s1, t1), tuple(sorted(drained)), tuple(staying), stubs)
+        _relocate(occupied, x, path[-1])
+    del occupied[s1], occupied[t1]
+    staying = len(occupied) - len(drained)
+    step = LinePairStep(i1, col0, (s1, t1), tuple(sorted(drained)), staying, stubs)
     return step, (rows, rest_cols, rec_pairs, occupied)
 
 
@@ -388,7 +411,7 @@ def _case_two_columns(rows, cols, pairs, occupied):
     slack = d1p + 2 - len(block_terms)
     if not 0 <= slack <= d1p:
         raise SolverInvariantError("two-column occupancy out of range")
-    bridge, bend = bridge_path(rows, block_cols, s1, t1, occupied)
+    bridge, bend = bridge_path(rows, block_cols, s1, t1, occupied.keys())
     others = [v for v in block_terms if v not in anchors]
     if any(v[0] == bend for v in others):
         raise SolverInvariantError("plain terminal on the bridge row")
@@ -416,7 +439,7 @@ def _case_two_columns(rows, cols, pairs, occupied):
         for how, path in (("down", [x]), ("across", [x, mate])):
             c = path[-1][1]
             down = next((r for r in low_rows if (r, c) not in occupied), None)
-            if down is not None and occupied.isdisjoint(path[1:]):
+            if down is not None and occupied.keys().isdisjoint(path[1:]):
                 break
         else:
             # Unreachable.  Let h be the block's rows, B = h + 1 - slack its
@@ -435,8 +458,7 @@ def _case_two_columns(rows, cols, pairs, occupied):
             raise SolverInvariantError(f"mover {tuple(x)} has no reachable low-block cell")
         path.append((down, c))
         pushes[x] = how
-        occupied.discard(x)
-        occupied.add(path[-1])
+        _relocate(occupied, x, path[-1])
         moves.apply(x, path)
     if others:
         # every plain block terminal now sits on a low row
@@ -444,16 +466,16 @@ def _case_two_columns(rows, cols, pairs, occupied):
             if all((r, c) in occupied for c in rest_cols):
                 raise SolverInvariantError("destination row saturated after relabeling")
         matching = doubled_row_matching(low_rows, block_cols, rest_cols, occupied, anchors)
-        drained = drain_block(low_rows, block_cols, rest_cols, occupied, anchors, matching)
+        drained = drain_block(low_rows, block_cols, rest_cols, occupied, anchors, matching,
+                              partner=occupied)
         for cur in sorted(drained):
             path = drained[cur]
-            occupied.discard(cur)
-            occupied.add(path[-1])
+            _relocate(occupied, cur, path[-1])
             moves.apply(cur, path)
     rest_set = frozenset(rest_cols)
     if any(x not in moves.path or moves.path[x][-1][1] not in rest_set for x in others):
         raise SolverInvariantError("a terminal was left behind in the deleted columns")
-    occupied.difference_update(anchors)
+    del occupied[s1], occupied[t1]
     rec_pairs, stubs = _carry(pairs, moves.path, i1)
     step = TwoColumnStep(i1, block_cols, slack, bend, tuple(bridge), top_rows,
                          pushes or None, len(movers), in_block, matching, stubs)
@@ -462,13 +484,15 @@ def _case_two_columns(rows, cols, pairs, occupied):
 
 def _transpose(rows, cols, pairs, occupied, reason):
     flipped = [(flip(s), flip(t), idx) for s, t, idx in pairs]
-    return TransposeStep(reason), (cols, rows, flipped, {flip(v) for v in occupied})
+    return TransposeStep(reason), (cols, rows, flipped,
+                                   {flip(v): flip(w) for v, w in occupied.items()})
 
 
 def _next_step(rows, cols, pairs, occupied, retransposed):
     """The case step for this problem and the smaller problem it leaves
-    (None after a base case); occupied holds every pair's terminals, and
-    a case step updates it in place for the smaller problem."""
+    (None after a base case); occupied maps each pair's terminals to
+    each other, and a case step updates it in place for the smaller
+    problem."""
     if len(rows) > 2 >= len(cols) or len(rows) > 1 == len(cols):
         # a lone column, even of two cells, is routed as a row clique
         return _transpose(rows, cols, pairs, occupied, "narrow-side-first")
@@ -493,7 +517,9 @@ def _next_step(rows, cols, pairs, occupied, retransposed):
 
 def _solve(rows, cols, pairs, steps) -> None:
     """Append case steps to steps until a base case or no pair is left."""
-    occupied = {v for s, t, _ in pairs for v in (s, t)}
+    occupied = {}
+    for s, t, _ in pairs:
+        occupied[s], occupied[t] = t, s
     retransposed = False
     while pairs:
         step, reduced = _next_step(rows, cols, pairs, occupied, retransposed)

@@ -7,7 +7,7 @@ import pytest
 
 import rooklink.cli
 from rooklink import (InstanceFormatError, ProductGraph, SolverInvariantError,
-                      SolverTrace, Vertex, parse_instance, parse_linkage,
+                      SolverTrace, Vertex, VerifyReport, parse_instance, parse_linkage,
                       render_trace, serialize_instance, serialize_linkage)
 from rooklink.cli import main
 from rooklink.solver import TransposeStep
@@ -113,6 +113,18 @@ class TestCliSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: boom\nstep 1: transpose reason=test\n"
+
+    def test_unverified_linkage_is_not_printed(self, tmp_path, capsys, monkeypatch):
+        def refuse(problem, linkage):
+            return VerifyReport(False, "paths 1 and 2 share (0,1)")
+
+        monkeypatch.setattr(rooklink.cli, "verify", refuse)
+        inst = write(tmp_path, "a.txt", "dims 2 3\npair 0 0 2 1\npair 1 2 0 3\n")
+        assert main(["solve", inst, "--trace"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "internal error: solver output fails verify: paths 1 and 2 share (0,1)\nstep 1: ")
 
     def test_closed_stdout_exits_quietly(self, tmp_path):
         # the reader of stdout is gone before anything is written, as when

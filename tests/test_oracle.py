@@ -366,6 +366,21 @@ class TestOrbitSweep:
         if orbit.found is not None:
             assert exhaustive_solve(orbit.found).feasible is False
 
+    def test_one_row_yields_its_single_orbit_without_a_walk(self, monkeypatch):
+        # every permutation of a one-row board's cells is a symmetry, so its
+        # 945 pairings of ten terminals are one orbit, yielded unranked
+        def no_rank(mate):
+            raise AssertionError("walked the pairings of a one-row board")
+
+        monkeypatch.setattr(rooklink.oracle, "_pairing_rank", no_rank)
+        (p,) = rooklink.oracle._orbit_instances(ProductGraph(0, 9), 5)
+        assert p.pairs == tuple((V(0, a), V(0, b)) for a, b in next(all_pairings(range(10))))
+
+    def test_one_row_verdict_is_unchanged(self):
+        res = find_infeasible_pairing(0, 5, 3, exhaustive=True)
+        assert (res.found, res.completed, res.instances_checked, res.nodes_explored) == (
+            None, True, 1, 6)
+
     def test_four_by_five_is_four_linked(self):
         # one pair above the bound on an odd-sum board, yet every pairing
         # routes: the complete sweep of all 5,617 orbits finds none

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import statistics
 import sys
 
 import pytest
@@ -117,19 +118,23 @@ class TestPairInColumn:
         solve_and_check(p)
 
     def test_movers_hop_across_their_rows(self):
-        # every mover's row has a free cell outside the column, so each one
-        # steps straight across its row to the first such cell
+        # every mover's row is free in its partner's column, so each one
+        # steps straight across its row into that column, and the next two
+        # steps route the pairs it leaves sharing a column as single edges
         p = problem(4, 4, ((0, 0), (3, 0)), ((1, 0), (2, 3)), ((2, 0), (0, 4)),
                     ((4, 0), (1, 1)))
-        _, trace = solve_and_check(p)
+        link, trace = solve_and_check(p)
         step = trace.steps[0]
         assert isinstance(step, LinePairStep)
         assert step.moved == (V(1, 0), V(2, 0), V(4, 0))
         stubs = {stub[0]: stub for pair in step.stubs.values() for stub in pair if stub}
-        assert set(stubs) == set(step.moved)
-        for x in step.moved:
-            assert len(stubs[x]) == 2 and stubs[x][1][0] == x[0]
-        assert stubs[V(1, 0)] == (V(1, 0), V(1, 2))  # (1, 1) holds a terminal
+        assert stubs == {V(1, 0): (V(1, 0), V(1, 3)), V(2, 0): (V(2, 0), V(2, 4)),
+                         V(4, 0): (V(4, 0), V(4, 1))}
+        for later, column in zip(trace.steps[1:3], (3, 4)):
+            assert isinstance(later, LinePairStep)
+            assert later.column == column and later.moved == ()
+        assert link.paths[1] == (V(1, 0), V(1, 3), V(2, 3))
+        assert link.paths[2] == (V(2, 0), V(2, 4), V(0, 4))
 
     def test_full_row_detours_through_a_spare_row(self, monkeypatch):
         # the mover (2, 0) finds row 2 full outside column 0, so it steps
@@ -204,9 +209,36 @@ class TestDrainBlock:
         assert out[V(2, 0)] == [V(2, 0), V(1, 0), V(1, 2)]
         assert out[V(2, 1)] == [V(2, 1), V(2, 2)]
 
+    def test_partner_column_first_on_a_straight_hop(self):
+        # (2, 0)'s partner sits in column 3, so it lands in (2, 3) while
+        # that cell is free; taken, or outside the destination columns, it
+        # falls back to the row's first free cell
+        out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {V(2, 0)}, set(),
+                          partner={V(2, 0): V(5, 3)})
+        assert out == {V(2, 0): [V(2, 0), V(2, 3)]}
+        for occupied, partner in (({V(2, 0), V(2, 3)}, V(5, 3)),
+                                  ({V(2, 0)}, V(5, 1)), ({V(2, 0)}, V(5, 7))):
+            out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), occupied, set(),
+                              partner={V(2, 0): partner})
+            assert out == {V(2, 0): [V(2, 0), V(2, 2)]}
+
+    def test_partner_column_first_on_a_spare_row_detour(self):
+        # the doubled row sends (2, 0) through spare row 1 into its
+        # partner's column 3, and (2, 1) straight into its partner's column
+        # 4; with (1, 3) taken the detour ends on row 1's first free cell
+        partner = {V(2, 0): V(0, 3), V(2, 1): V(0, 4)}
+        out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {V(2, 0), V(2, 1)}, set(),
+                          partner=partner)
+        assert out == {V(2, 0): [V(2, 0), V(1, 0), V(1, 3)], V(2, 1): [V(2, 1), V(2, 4)]}
+        out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {V(2, 0), V(2, 1), V(1, 3)},
+                          set(), partner=partner)
+        assert out == {V(2, 0): [V(2, 0), V(1, 0), V(1, 2)], V(2, 1): [V(2, 1), V(2, 4)]}
+
     def test_endpoints_land_in_distinct_rows(self):
         # one- and two-column blocks; up to two destination rows are full,
-        # which sends their lone terminals through spare rows as well
+        # which sends their lone terminals through spare rows as well; with
+        # a partner map, each path ends in its partner's column when that
+        # cell is a free destination cell
         rng = random.Random(11)
         rows = (0, 1, 2, 3, 4, 5)
         dest_cols = (2, 3, 4)
@@ -222,17 +254,21 @@ class TestDrainBlock:
             # a doubled row sends one terminal straight across, so its own
             # destination row must have room
             stuck = any(n == 2 and r in full for r, n in zip(rows, per_row))
+            partner = rng.choice((None, {x: V(9, rng.randint(0, 5)) for x in block}))
             if stuck or needy > spare:
                 with pytest.raises(SolverInvariantError):
-                    drain_block(rows, block_cols, dest_cols, occupied, set())
+                    drain_block(rows, block_cols, dest_cols, occupied, set(), partner=partner)
                 continue
-            out = drain_block(rows, block_cols, dest_cols, occupied, set())
+            out = drain_block(rows, block_cols, dest_cols, occupied, set(), partner=partner)
             assert set(out) == block
             ends = [p[-1] for p in out.values()]
             assert len({e[0] for e in ends}) == len(ends)
             used = set()
             for x, path in out.items():
                 assert path[0] == x and path[-1][1] in dest_cols
+                r, c = path[-1]
+                if partner is not None and c != partner[x][1]:
+                    assert partner[x][1] not in dest_cols or (r, partner[x][1]) in occupied
                 for u, w in zip(path, path[1:]):
                     assert u[0] == w[0] or u[1] == w[1]
                 for v in path[1:]:
@@ -446,6 +482,16 @@ def test_large_solve_needs_no_deep_stack():
     assert replay(p, trace) == link
 
 
+def test_large_solve_keeps_paths_short():
+    # drained terminals land in their partners' columns, so most pairs are
+    # routed as one edge after a hop or two; sent to the first free cell
+    # instead, they give a median path of 35 cells on this board
+    p = _bounded(random.Random(0), 200, 200, 200)
+    link, _ = solve(p)
+    assert verify(p, link).ok
+    assert statistics.median(len(path) for path in link.paths) <= 5
+
+
 class TestDeterminism:
     def test_identical_runs(self):
         p = problem(3, 4, ((0, 0), (1, 1)), ((2, 2), (3, 3)), ((0, 4), (3, 0)))
@@ -476,7 +522,8 @@ def _bounded(rng, d1, d2, k):
 class TestPinnedOutput:
     def test_seeded_mix_matches_recorded_digest(self):
         # linkages and traces of a seeded mix at the bound, hashed; the
-        # digest was recorded before the case steps moved to plain tuples
+        # digest was recorded when drained terminals began to land in their
+        # partners' columns
         rng = random.Random(4242)
         problems = []
         for _ in range(2000):
@@ -489,7 +536,7 @@ class TestPinnedOutput:
             digest.update(serialize_linkage(link.paths).encode())
             digest.update(render_trace(trace).encode())
         assert digest.hexdigest() == (
-            "286a03ddfff4249c2f59bc4367b5a7f9ee82d583c6f70f776b486ff4e1250684")
+            "d5bf5eb9020b7026dcde50a49d62d537ff4ea8ab691c117d4d9e61fee9173bf8")
 
     @pytest.mark.parametrize("d1, d2, seed", [(2, 3, 1), (5, 4, 2), (8, 8, 3), (100, 100, 4)])
     def test_paths_hold_vertices_only(self, d1, d2, seed):
