@@ -12,15 +12,14 @@ from .grid import (EmptySubgridError, InvalidVertexError, ProductGraph,
                    Subgrid, Vertex, flip)
 from .instances import (InstanceFormatError, parse_instance, parse_linkage,
                         serialize_instance, serialize_linkage)
-from .menger import connectivity, disjoint_paths
+from .menger import connectivity
 from .oracle import (SharpnessResult, Verdict, VerifyReport, all_pairings,
                      exhaustive_solve, find_infeasible_pairing, is_k_linked,
                      random_pairing, verify)
 from .problem import (Linkage, LinkageProblem, ProblemContractError,
                       max_guaranteed_pairs)
-from .solver import (SolverInvariantError, SolverTrace, bridge_candidates,
-                     bridge_path, cyclic_dual_params, doubled_row_matching,
-                     drain_block, render_trace, replay, solve)
+from .solver import (SolverInvariantError, SolverTrace, cyclic_dual_params,
+                     render_trace, replay, solve)
 
 __version__ = "0.1.0"
 
@@ -29,10 +28,8 @@ __all__ = [
     "Linkage", "LinkageProblem", "ProblemContractError",
     "ProductGraph", "SharpnessResult", "SolverInvariantError", "SolverTrace",
     "Subgrid", "Verdict", "Vertex", "VerifyReport", "all_pairings",
-    "bridge_candidates", "bridge_path", "connectivity", "cyclic_dual_params",
-    "disjoint_paths", "doubled_row_matching", "drain_block",
-    "exhaustive_solve", "find_infeasible_pairing", "flip", "is_k_linked",
-    "max_guaranteed_pairs", "parse_instance", "parse_linkage",
-    "random_pairing", "render_trace", "replay",
-    "serialize_instance", "serialize_linkage", "solve", "verify",
+    "connectivity", "cyclic_dual_params", "exhaustive_solve",
+    "find_infeasible_pairing", "flip", "is_k_linked", "max_guaranteed_pairs",
+    "parse_instance", "parse_linkage", "random_pairing", "render_trace",
+    "replay", "serialize_instance", "serialize_linkage", "solve", "verify",
 ]

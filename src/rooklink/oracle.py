@@ -259,9 +259,12 @@ def _sweepable(grid: ProductGraph, k: int) -> bool:
     on one row) are at most _MAX_SWEEP_ORBITS.  Beyond three pairs an
     orbit's search grows steeply with the grid (some on 6 x 8 take
     millions of nodes), so those need at most 20 vertices.  This keeps
-    _row_tables (m! 2^m entries) at six rows.
+    _row_tables (m! 2^m entries) at six rows.  A one-row board is one
+    orbit, which _orbit_instances yields without walking any pairing.
     """
     m, n, square = _sweep_board(grid, k)
+    if m == 1:
+        return True
     walk = prod(range(1, 2 * k, 2))
     group = factorial(m) * factorial(n) * (2 if square else 1)
     return ((k <= 3 or grid.vertex_count <= _MAX_SEARCH_VERTICES)
@@ -273,10 +276,11 @@ def _sweep_fits(grid: ProductGraph, k: int) -> bool:
     """Whether a sweep's two tables fit: the (2k - 1)!! pairing flags of
     _orbit_instances and the m! 2^m entries of _row_tables, each at most
     _MAX_SWEEP_TABLE.  Both pass it before k or m reaches 12, so the
-    big products are never formed."""
+    big products are never formed.  A one-row board takes no flags and
+    two row-table entries."""
     m = _sweep_board(grid, k)[0]
-    return (k < 12 and m < 12 and prod(range(1, 2 * k, 2)) <= _MAX_SWEEP_TABLE
-            and factorial(m) << m <= _MAX_SWEEP_TABLE)
+    return m == 1 or (k < 12 and m < 12 and prod(range(1, 2 * k, 2)) <= _MAX_SWEEP_TABLE
+                      and factorial(m) << m <= _MAX_SWEEP_TABLE)
 
 
 def _checked_grid(d1: int, d2: int, k: int) -> ProductGraph:

@@ -27,13 +27,15 @@ better side to peel) and hands the smaller problem to the next step:
   (the full-rows bound, argued at its check), and a counting argument at
   the relocation shows it never runs out of room.
 
-Every evacuation is one call to drain_block, and no step uses the
-max-flow engine.  The steps run in a loop, not by recursion, and share
-one map from each terminal's cell to its partner's cell (its keys are
-the occupied cells), which each step updates with its own moves only.
-They route on plain (r, c) tuples; the linkage is folded back out of
-the finished trace by the same code that replays it, and replay builds
-its Vertex objects.
+The steps run in a loop, not by recursion, and share one map from each
+terminal's cell to its partner's cell (its keys are the occupied cells),
+which each step updates with its own moves only.  Every evacuation is
+one call to drain_block, which reads that map and finds its own spare
+rows; no step uses the max-flow engine.  Steps keep each pair's (s, t)
+order, so a later step's path stitches onto its stubs as it stands.
+The steps route on plain (r, c) tuples; the linkage is folded back out
+of the finished trace by the same code that replays it, and replay
+builds its Vertex objects.
 
 Internal failures raise SolverInvariantError carrying the trace: the
 construction cannot fail on a legal input, so a failure is a bug, never
@@ -43,6 +45,7 @@ an infeasibility verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .grid import Vertex, flip
 from .menger import disjoint_paths  # unused; perfbench/tracing.py wraps this name
@@ -157,36 +160,23 @@ def render_trace(trace: SolverTrace) -> str:
 # reusable routing pieces (each independently testable)
 
 
-def _bridges(rows, block_cols, s: Cell, t: Cell):
-    """bridge_candidates' candidates in their order, built one at a time."""
+def bridge_path(rows, block_cols, s: Cell, t: Cell, occupied) -> tuple[list[Cell], int]:
+    """An s-t path inside the two block columns whose interior avoids
+    every cell of occupied, with the row holding both its block entries.
+
+    The len(rows)-many candidates are internally disjoint: two bends of
+    length two (through s's row, then t's row) and one path of length
+    three through every other row, tried in that order.  At most
+    len(rows) - 1 terminals other than s, t can sit in the two columns,
+    so one candidate is free.
+    """
     c_s, c_t = s[1], t[1]
     if {c_s, c_t} != set(block_cols) or c_s == c_t or s[0] == t[0]:
         raise SolverInvariantError(
             "bridge endpoints must span the two block columns on distinct rows")
-    yield [s, (s[0], c_t), t], s[0]
-    yield [s, (t[0], c_s), t], t[0]
-    for r in rows:
-        if r != s[0] and r != t[0]:
-            yield [s, (r, c_s), (r, c_t), t], r
-
-
-def bridge_candidates(rows, block_cols, s: Cell, t: Cell):
-    """The len(rows)-many internally disjoint s-t paths inside two columns.
-
-    Two bends of length two (through s's row or t's row) and one
-    length-three path through every remaining row; each candidate is
-    returned with the row that contributes both of its block entries.
-    """
-    return list(_bridges(rows, block_cols, s, t))
-
-
-def bridge_path(rows, block_cols, s: Cell, t: Cell, occupied: set) -> tuple[list[Cell], int]:
-    """First candidate whose interior avoids every other terminal.
-
-    At most len(rows) - 1 terminals other than s, t can sit in the two
-    columns and the candidates are internally disjoint, so one is free.
-    """
-    for path, bend in _bridges(rows, block_cols, s, t):
+    bends = (([s, (s[0], c_t), t], s[0]), ([s, (t[0], c_s), t], t[0]))
+    thirds = (([s, (r, c_s), (r, c_t), t], r) for r in rows if r != s[0] and r != t[0])
+    for path, bend in chain(bends, thirds):
         if occupied.isdisjoint(path[1:-1]):
             return path, bend
     raise SolverInvariantError("every bridge candidate is blocked; occupancy cap violated")
@@ -209,57 +199,35 @@ def _free_dest(r: int, dest_cols, occupied) -> Cell | None:
     return None
 
 
-def _match_spares(plain, rows, block_cols, dest_cols, occupied) -> dict[int, int]:
-    needy = [r for r, xs in plain.items()
-             if len(xs) > 1 or _free_dest(r, dest_cols, occupied) is None]
-    if not needy:
-        return {}
-    spare = []
-    for r in sorted(rows):
-        if (r not in plain and any((r, c) not in occupied for c in block_cols)
-                and _free_dest(r, dest_cols, occupied) is not None):
-            spare.append(r)
-            if len(spare) == len(needy):
-                break
-    if len(spare) < len(needy):
-        raise SolverInvariantError("rows needing a detour outnumber spare rows")
-    return dict(zip(needy, spare))
-
-
-def doubled_row_matching(rows, block_cols, dest_cols, occupied, anchors) -> dict[int, int]:
-    """Injective map from the block rows that need a detour to spare rows.
-
-    A row needs a detour when it holds two plain terminals, or one that
-    faces a full destination row.  A spare row holds no plain terminal
-    and has a free block entry and a free destination entry.  Spare rows
-    are looked for only when a detour is needed, lowest label first, and
-    matched to the needy rows in label order; the solver's counting
-    arguments guarantee enough of them.
-    """
-    plain = _plain_by_row(rows, block_cols, occupied, set(anchors))
-    return _match_spares(plain, rows, block_cols, dest_cols, occupied)
-
-
-def drain_block(rows, block_cols, dest_cols, occupied, anchors,
-                matching: dict[int, int] | None = None,
-                partner: dict[Cell, Cell] | None = None) -> dict[Cell, list[Cell]]:
+def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
+                anchors) -> tuple[dict[Cell, list[Cell]], dict[int, int]]:
     """Walk every plain terminal out of the block into the destination
-    columns; the block is one or two columns wide.
+    columns; the block is one or two columns wide.  occupied maps each
+    terminal's cell to its partner's cell (its keys are the occupied
+    cells), and anchors are the block terminals that stay.
+
+    Returns the paths, keyed by each plain terminal's cell, and the
+    matching: an injective map from the rows that need a detour to spare
+    rows.  A row needs a detour when it holds two plain terminals, or
+    one that faces a full destination row.  A spare row holds no plain
+    terminal and has a free block entry and a free destination entry.
+    Spare rows are looked for only when a detour is needed, lowest label
+    first, and matched to the needy rows in label order; the solver's
+    counting arguments guarantee enough of them.
 
     A plain terminal crosses straight into a free entry of its own
-    destination row, except that a row matched to a spare row (see
-    doubled_row_matching) sends one terminal through the spare row's free
-    block entry in that terminal's column and on to a free destination
-    entry of the spare row.  The entry taken is the one in the column of
-    the terminal's partner (partner maps each plain terminal to its
-    partner's cell) when that column is a destination column and the
-    entry is free, so the pair is left sharing a column; otherwise it is
-    the row's first free entry.  All paths are pairwise disjoint, never
-    pass through a terminal, and no destination row receives more than
-    one endpoint.  A doubled row needs a free destination entry of its
-    own for the terminal that stays; a lone terminal that detours needs
-    its spare row's entry in its own column free, which holds in a
-    one-column block and for every spare row without an anchor.
+    destination row, except that a matched row sends one terminal
+    through the spare row's free block entry in that terminal's column
+    and on to a free destination entry of the spare row.  The entry
+    taken is the one in the column of the terminal's partner when that
+    column is a destination column and the entry is free, so the pair is
+    left sharing a column; otherwise it is the row's first free entry.
+    All paths are pairwise disjoint, never pass through a terminal, and
+    no destination row receives more than one endpoint.  A doubled row
+    needs a free destination entry of its own for the terminal that
+    stays; a lone terminal that detours needs its spare row's entry in
+    its own column free, which holds in a one-column block and for every
+    spare row without an anchor.
 
     Which free entry of its row a path ends on does not matter to any
     counting argument: a path meets the destination columns only at its
@@ -268,15 +236,22 @@ def drain_block(rows, block_cols, dest_cols, occupied, anchors,
     each destination row.
     """
     plain_rows = _plain_by_row(rows, block_cols, occupied, set(anchors))
-    if matching is None:
-        matching = _match_spares(plain_rows, rows, block_cols, dest_cols, occupied)
+    needy = [r for r, xs in plain_rows.items()
+             if len(xs) > 1 or _free_dest(r, dest_cols, occupied) is None]
+    matching = {}
+    if needy:
+        spares = list(islice((r for r in sorted(rows) if r not in plain_rows
+                              and any((r, c) not in occupied for c in block_cols)
+                              and _free_dest(r, dest_cols, occupied) is not None), len(needy)))
+        if len(spares) < len(needy):
+            raise SolverInvariantError("rows needing a detour outnumber spare rows")
+        matching = dict(zip(needy, spares))
     dest_set = frozenset(dest_cols)
 
     def end(r: int, x: Cell) -> Cell:
-        if partner is not None:
-            c = partner[x][1]
-            if c in dest_set and (r, c) not in occupied:
-                return r, c
+        c = occupied[x][1]
+        if c in dest_set and (r, c) not in occupied:
+            return r, c
         w = _free_dest(r, dest_cols, occupied)
         if w is None:
             raise SolverInvariantError(f"no free destination entry in row {r}")
@@ -291,11 +266,9 @@ def drain_block(rows, block_cols, dest_cols, occupied, anchors,
                 raise SolverInvariantError(f"spare row {spare} has no free block entry")
             out[detour] = [detour, (spare, detour[1]), end(spare, detour)]
             plain = [x for x in plain if x != detour]
-        elif len(plain) > 1:
-            raise SolverInvariantError(f"doubled row {r} missing from the matching")
         for x in plain:
             out[x] = [x, end(r, x)]
-    return out
+    return out, matching
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +315,6 @@ def _carry(pairs, moved, done: int):
 
 def _stitch(inner, stub_s, stub_t):
     path = list(inner)
-    if stub_s is not None and path[0] != stub_s[-1]:
-        path.reverse()
-    elif stub_s is None and stub_t is not None and path[-1] != stub_t[-1]:
-        path.reverse()
     if stub_s is not None:
         if path[0] != stub_s[-1]:
             raise SolverInvariantError("stub does not meet its recursive path")
@@ -377,7 +346,8 @@ def _base_two_rows(rows, cols, pairs, occupied):
     # both cells free as columns with both cells taken, so every top
     # terminal facing a taken cell finds a free column to detour through
     top, target = rows
-    drained = drain_block(cols, (top,), (target,), {flip(v) for v in occupied}, ())
+    drained, _ = drain_block(cols, (top,), (target,),
+                             {flip(v): flip(w) for v, w in occupied.items()}, ())
     stub = {flip(x): [flip(w) for w in path] for x, path in drained.items()}
     return TwoRowsStep(target, {idx: tuple(stub.get(s, [s]) + stub.get(t, [t])[::-1])
                                 for s, t, idx in pairs})
@@ -390,7 +360,7 @@ def _case_line_pair(rows, cols, pairs, chosen, occupied):
     s1, t1, i1 = chosen
     col0 = s1[1]
     rest_cols = tuple(c for c in cols if c != col0)
-    drained = drain_block(rows, (col0,), rest_cols, occupied, (s1, t1), partner=occupied)
+    drained, _ = drain_block(rows, (col0,), rest_cols, occupied, (s1, t1))
     rec_pairs, stubs = _carry(pairs, drained, i1)
     for x, path in drained.items():
         _relocate(occupied, x, path[-1])
@@ -465,9 +435,7 @@ def _case_two_columns(rows, cols, pairs, occupied):
         for r in low_rows:
             if all((r, c) in occupied for c in rest_cols):
                 raise SolverInvariantError("destination row saturated after relabeling")
-        matching = doubled_row_matching(low_rows, block_cols, rest_cols, occupied, anchors)
-        drained = drain_block(low_rows, block_cols, rest_cols, occupied, anchors, matching,
-                              partner=occupied)
+        drained, matching = drain_block(low_rows, block_cols, rest_cols, occupied, anchors)
         for cur in sorted(drained):
             path = drained[cur]
             _relocate(occupied, cur, path[-1])

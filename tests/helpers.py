@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from rooklink import (LinkageProblem, ProductGraph, Subgrid, Vertex, all_pairings,
-                      disjoint_paths)
+from rooklink import LinkageProblem, ProductGraph, Subgrid, Vertex, all_pairings
+from rooklink.menger import disjoint_paths
 
 
 def routing_margin_holds(x: int, y: int) -> bool:

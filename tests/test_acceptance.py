@@ -7,12 +7,12 @@ import time
 import pytest
 
 from rooklink import (LinkageProblem, ProductGraph, SolverInvariantError,
-                      Vertex, all_pairings, connectivity,
-                      doubled_row_matching, drain_block, exhaustive_solve,
+                      Vertex, all_pairings, connectivity, exhaustive_solve,
                       find_infeasible_pairing, max_guaranteed_pairs,
                       random_pairing, render_trace, replay,
                       serialize_linkage, solve, verify)
 from rooklink.cli import main
+from rooklink.solver import drain_block
 
 from helpers import routing_margin_holds
 
@@ -148,7 +148,8 @@ def test_criterion_6_counting_guards(capsys):
             else:
                 n_dest = rng.choice((0, 0, len(dest_cols)))
             dest_terms.update(rng.sample(row_cells, n_dest))
-        full_occ = occupied | dest_terms
+        # each terminal maps to its own cell: no partner's column to prefer
+        full_occ = {v: v for v in occupied | dest_terms}
         full_rows = {r for r in rows if all(V(r, c) in dest_terms for c in dest_cols)}
         in_row = {r: sum(1 for c in block_cols if V(r, c) in plain) for r in rows}
         needy = {r for r in rows if in_row[r] == 2 or (in_row[r] == 1 and r in full_rows)}
@@ -159,13 +160,11 @@ def test_criterion_6_counting_guards(capsys):
             assert len(needy) <= len(spare), "spare rows run out within the bound"
         if len(needy) > len(spare):
             with pytest.raises(SolverInvariantError):
-                doubled_row_matching(rows, block_cols, dest_cols, full_occ, anchors)
+                drain_block(rows, block_cols, dest_cols, full_occ, anchors)
             continue
-        matching = doubled_row_matching(rows, block_cols, dest_cols, full_occ, anchors)
+        out, matching = drain_block(rows, block_cols, dest_cols, full_occ, anchors)
         assert len(set(matching.values())) == len(matching), "matching not injective"
         assert set(matching) == needy and set(matching.values()) <= spare
-
-        out = drain_block(rows, block_cols, dest_cols, full_occ, anchors)
         drains += 1
         assert set(out) == plain
         used = set()

@@ -269,13 +269,26 @@ class TestCliSharpness:
         err = capsys.readouterr().err
         assert err.strip() == "error: pair count must be non-negative, got -1"
 
-    @pytest.mark.parametrize("argv", [["0", "30", "--k", "15"], ["9", "9", "--k", "5"]])
+    @pytest.mark.parametrize("argv", [["1", "29", "--k", "15"], ["9", "9", "--k", "5"]])
     def test_forced_sweep_too_large_to_tabulate_exits_2(self, capsys, argv):
         # 29!! pairing flags, or 10! * 2^10 row-table entries: refused
         # before either table is allocated
         assert main(["sharpness", *argv, "--exhaustive"]) == 2
         err = capsys.readouterr().err
         assert err.strip() == "error: grid too large for an exhaustive linkedness sweep"
+
+    @pytest.mark.parametrize("argv, line", [
+        (["0", "15"], "grid 0 15, 8 pairs, 1 pairings checked, 16 nodes"),
+        (["0", "30", "--k", "15", "--exhaustive"],
+         "grid 0 30, 15 pairs, 1 pairings checked, 30 nodes"),
+    ])
+    def test_one_row_board_is_one_orbit(self, capsys, argv, line):
+        # a single row is a clique, and all its pairings form one orbit, so
+        # the sweep checks one pairing however many pairs the row holds
+        assert main(["sharpness", *argv]) == 0
+        out = capsys.readouterr().out
+        assert line in out
+        assert "none found: every pairing is feasible" in out
 
     def test_budget_exhaustion_exits_3(self, capsys):
         assert main(["sharpness", "2", "3", "--exhaustive", "--budget", "10"]) == 3

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import all_pairs_connectivity, brute_ab_feasible, brute_connectivity, check_ab_system
-from rooklink import ProductGraph, Subgrid, Vertex, connectivity, disjoint_paths, menger
+from rooklink import ProductGraph, Subgrid, Vertex, connectivity, menger
+from rooklink.menger import disjoint_paths
 
 
 def full(d1, d2):

@@ -228,9 +228,12 @@ class TestLinkedness:
         assert res.completed and res.found is None
         assert res.instances_checked == 268
 
-    def test_one_row_board_with_many_pairs_is_sampled(self):
-        # one terminal pattern, but 29!! pairings for the sweep to walk
+    def test_one_row_board_with_many_pairs_is_one_orbit(self):
+        # 29!! pairings, but one orbit, which the default mode sweeps
+        # without walking them; sampling is still there when asked for
         res = find_infeasible_pairing(0, 29, 15, count=3)
+        assert res.completed and res.found is None and res.instances_checked == 1
+        res = find_infeasible_pairing(0, 29, 15, count=3, exhaustive=False)
         assert not res.completed and res.instances_checked == 3
 
     def test_sampled_mode_finds_the_easy_counterexample(self):

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from rooklink import (LinkageProblem, ProblemContractError, ProductGraph,
                       SolverInvariantError, Vertex, all_pairings,
-                      bridge_candidates, bridge_path, cyclic_dual_params,
-                      doubled_row_matching, drain_block, exhaustive_solve,
+                      cyclic_dual_params, exhaustive_solve,
                       max_guaranteed_pairs, random_pairing, render_trace,
                       replay, serialize_linkage, solve, verify)
 import rooklink.menger
 import rooklink.solver
-from rooklink.solver import LinePairStep, TransposeStep, TwoColumnStep, TwoRowsStep
+from rooklink.solver import (LinePairStep, TransposeStep, TwoColumnStep, TwoRowsStep,
+                             _stitch, bridge_path, drain_block)
 
 from helpers import routing_margin_holds
 
@@ -26,6 +26,12 @@ V = Vertex
 def problem(d1, d2, *pairs):
     return LinkageProblem(ProductGraph(d1, d2),
                           tuple((V(*s), V(*t)) for s, t in pairs))
+
+
+def unpaired(*cells):
+    """drain_block's map for terminals with no partner's column to prefer:
+    each maps to its own cell, whose column is a block column."""
+    return {v: v for v in cells}
 
 
 def _no_flow(*args, **kwargs):
@@ -149,13 +155,22 @@ class TestPairInColumn:
 
 class TestBridge:
     def test_candidate_count(self):
-        cands = bridge_candidates((0, 1, 2), (0, 1), V(1, 0), V(2, 1))
-        assert len(cands) == 3
+        # three rows give three candidates, each taken once those before
+        # it are blocked; with all three blocked none is left
+        s, t = V(1, 0), V(2, 1)
+        blocked, bends = set(), []
+        for _ in range(3):
+            path, bend = bridge_path((0, 1, 2), (0, 1), s, t, blocked)
+            bends.append(bend)
+            blocked.add(path[1])
+        assert bends == [1, 2, 0]
+        with pytest.raises(SolverInvariantError):
+            bridge_path((0, 1, 2), (0, 1), s, t, blocked)
 
     @pytest.mark.parametrize("s, t", [((1, 0), (2, 0)), ((1, 0), (1, 1)), ((1, 0), (2, 3))])
     def test_bad_endpoints_are_an_internal_error(self, s, t):
         with pytest.raises(SolverInvariantError):
-            bridge_candidates((0, 1, 2), (0, 1), V(*s), V(*t))
+            bridge_path((0, 1, 2), (0, 1), V(*s), V(*t), set())
 
     def test_shortest_candidate_preferred(self):
         path, bend = bridge_path((0, 1, 2, 3), (0, 1), V(1, 0), V(2, 1), set())
@@ -175,37 +190,41 @@ class TestBridge:
 
 
 class TestDoubledRowMatching:
+    # the matching drain_block returns alongside its paths
     def test_lowest_label_assignment(self):
-        occupied = {V(1, 0), V(1, 1), V(2, 0), V(2, 1)}
-        m = doubled_row_matching((1, 2, 3, 4), (0, 1), (2, 3), occupied, set())
+        occupied = unpaired(V(1, 0), V(1, 1), V(2, 0), V(2, 1))
+        _, m = drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set())
         assert m == {1: 3, 2: 4}
 
     def test_no_doubled_rows(self):
-        occupied = {V(1, 0), V(3, 1)}
-        assert doubled_row_matching((1, 2, 3), (0, 1), (2, 3), occupied, set()) == {}
+        occupied = unpaired(V(1, 0), V(3, 1))
+        assert drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set())[1] == {}
 
     def test_counting_bound(self):
         # four plain terminals on four rows leave exactly two spare rows
-        occupied = {V(1, 0), V(1, 1), V(2, 0), V(2, 1)}
-        m = doubled_row_matching((1, 2, 3, 4), (0, 1), (2, 3), occupied, set())
+        occupied = unpaired(V(1, 0), V(1, 1), V(2, 0), V(2, 1))
+        _, m = drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set())
         assert len(m) == 2
+        # a third doubled row would outnumber them
+        occupied.update(unpaired(V(3, 0), V(3, 1)))
+        with pytest.raises(SolverInvariantError):
+            drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set())
 
     def test_anchor_rows_are_spare(self):
         anchors = {V(3, 0)}
-        occupied = {V(1, 0), V(1, 1), V(3, 0)}
-        m = doubled_row_matching((1, 2, 3), (0, 1), (2, 3), occupied, anchors)
+        occupied = unpaired(V(1, 0), V(1, 1), V(3, 0))
+        _, m = drain_block((1, 2, 3), (0, 1), (2, 3), occupied, anchors)
         assert m == {1: 2}
 
 
 class TestDrainBlock:
     def test_single_terminal_crosses_directly(self):
-        occupied = {V(2, 0)}
-        out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), occupied, set())
+        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), unpaired(V(2, 0)), set())
         assert out == {V(2, 0): [V(2, 0), V(2, 2)]}
 
     def test_doubled_row_detours_through_spare_row(self):
-        occupied = {V(2, 0), V(2, 1)}
-        out = drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set())
+        occupied = unpaired(V(2, 0), V(2, 1))
+        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set())
         assert out[V(2, 0)] == [V(2, 0), V(1, 0), V(1, 2)]
         assert out[V(2, 1)] == [V(2, 1), V(2, 2)]
 
@@ -213,13 +232,11 @@ class TestDrainBlock:
         # (2, 0)'s partner sits in column 3, so it lands in (2, 3) while
         # that cell is free; taken, or outside the destination columns, it
         # falls back to the row's first free cell
-        out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {V(2, 0)}, set(),
-                          partner={V(2, 0): V(5, 3)})
+        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {V(2, 0): V(5, 3)}, set())
         assert out == {V(2, 0): [V(2, 0), V(2, 3)]}
-        for occupied, partner in (({V(2, 0), V(2, 3)}, V(5, 3)),
-                                  ({V(2, 0)}, V(5, 1)), ({V(2, 0)}, V(5, 7))):
-            out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), occupied, set(),
-                              partner={V(2, 0): partner})
+        for taken, partner in ((unpaired(V(2, 3)), V(5, 3)), ({}, V(5, 1)), ({}, V(5, 7))):
+            occupied = {V(2, 0): partner, **taken}
+            out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), occupied, set())
             assert out == {V(2, 0): [V(2, 0), V(2, 2)]}
 
     def test_partner_column_first_on_a_spare_row_detour(self):
@@ -227,17 +244,16 @@ class TestDrainBlock:
         # partner's column 3, and (2, 1) straight into its partner's column
         # 4; with (1, 3) taken the detour ends on row 1's first free cell
         partner = {V(2, 0): V(0, 3), V(2, 1): V(0, 4)}
-        out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {V(2, 0), V(2, 1)}, set(),
-                          partner=partner)
+        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), partner, set())
         assert out == {V(2, 0): [V(2, 0), V(1, 0), V(1, 3)], V(2, 1): [V(2, 1), V(2, 4)]}
-        out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {V(2, 0), V(2, 1), V(1, 3)},
-                          set(), partner=partner)
+        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {**partner, **unpaired(V(1, 3))},
+                             set())
         assert out == {V(2, 0): [V(2, 0), V(1, 0), V(1, 2)], V(2, 1): [V(2, 1), V(2, 4)]}
 
     def test_endpoints_land_in_distinct_rows(self):
         # one- and two-column blocks; up to two destination rows are full,
         # which sends their lone terminals through spare rows as well; with
-        # a partner map, each path ends in its partner's column when that
+        # partners given, each path ends in its partner's column when that
         # cell is a free destination cell
         rng = random.Random(11)
         rows = (0, 1, 2, 3, 4, 5)
@@ -247,7 +263,7 @@ class TestDrainBlock:
             cells = [V(r, c) for r in rows for c in block_cols]
             block = set(rng.sample(cells, rng.randint(1, len(rows))))
             full = set(rng.sample(rows, rng.randint(0, 2)))
-            occupied = block | {V(r, c) for r in full for c in dest_cols}
+            occupied = unpaired(*block, *(V(r, c) for r in full for c in dest_cols))
             per_row = [sum(1 for x in block if x[0] == r) for r in rows]
             needy = sum(1 for r, n in zip(rows, per_row) if n == 2 or (n == 1 and r in full))
             spare = sum(1 for r, n in zip(rows, per_row) if n == 0 and r not in full)
@@ -255,11 +271,12 @@ class TestDrainBlock:
             # destination row must have room
             stuck = any(n == 2 and r in full for r, n in zip(rows, per_row))
             partner = rng.choice((None, {x: V(9, rng.randint(0, 5)) for x in block}))
+            occupied.update(partner or {})
             if stuck or needy > spare:
                 with pytest.raises(SolverInvariantError):
-                    drain_block(rows, block_cols, dest_cols, occupied, set(), partner=partner)
+                    drain_block(rows, block_cols, dest_cols, occupied, set())
                 continue
-            out = drain_block(rows, block_cols, dest_cols, occupied, set(), partner=partner)
+            out, _ = drain_block(rows, block_cols, dest_cols, occupied, set())
             assert set(out) == block
             ends = [p[-1] for p in out.values()]
             assert len({e[0] for e in ends}) == len(ends)
@@ -275,6 +292,24 @@ class TestDrainBlock:
                     assert v not in occupied, "path passes through a terminal"
                     assert v not in used, "paths collide"
                     used.add(v)
+
+
+class TestStitch:
+    # the pair (0, 0) -> (4, 1) has stubs ending on (0, 3) and (4, 3)
+    STUB_S = (V(0, 0), V(0, 3))
+    STUB_T = (V(4, 1), V(4, 3))
+
+    def test_stubs_wrap_an_inner_path_from_s_to_t(self):
+        path = _stitch((V(0, 3), V(4, 3)), self.STUB_S, self.STUB_T)
+        assert path == [V(0, 0), V(0, 3), V(4, 3), V(4, 1)]
+
+    @pytest.mark.parametrize("stub_s, stub_t", [(STUB_S, STUB_T), (STUB_S, None),
+                                                (None, STUB_T)])
+    def test_inner_path_from_t_to_s_is_an_internal_error(self, stub_s, stub_t):
+        # every step keeps each pair's (s, t) order, so a reversed inner
+        # path is a bug, not something to turn around
+        with pytest.raises(SolverInvariantError):
+            _stitch((V(4, 3), V(0, 3)), stub_s, stub_t)
 
 
 class TestTwoColumnCase:
