@@ -4,7 +4,8 @@ Subcommands: solve, verify, oracle, connectivity, sharpness, fuzz,
 cyclic-dual.  Exit codes are stable across commands: 0 success/pass,
 1 verification failure or infeasible (for fuzz: some instance failed to
 solve or to verify; the campaign still runs to the end), 2 input error (an
-InstanceFormatError or a ProblemContractError), 3 indeterminate (or a
+InstanceFormatError or a ProblemContractError), 3 indeterminate (a node
+budget ran out, which for oracle defaults to ORACLE_NODE_BUDGET, or a
 board past connectivity's size guard), 4 internal error (a
 SolverInvariantError, reported on stderr with the solver's trace, as is
 a solved linkage that fails verify, which solve checks before printing
@@ -38,6 +39,7 @@ EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1`
 CONNECTIVITY_MAX_VERTICES = 400  # connectivity costs about (d1 + d2)^4.5
+ORACLE_NODE_BUDGET = 10_000_000  # oracle's default; 15-20 s on a 2-vCPU Xeon VM
 
 
 def _read(path: str) -> str:
@@ -203,7 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive feasibility search")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=None, help="search node budget")
+    p.add_argument("--budget", type=int, default=ORACLE_NODE_BUDGET,
+                   help="search node budget (default %(default)s)")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("connectivity", help="vertex connectivity of the full grid")

@@ -27,12 +27,16 @@ better side to peel) and hands the smaller problem to the next step:
   (the full-rows bound, argued at its check), and a counting argument at
   the relocation shows it never runs out of room.
 
-The steps run in a loop, not by recursion, and share one map from each
-terminal's cell to its partner's cell (its keys are the occupied cells),
-which each step updates with its own moves only.  Every evacuation is
-one call to drain_block, which reads that map and finds its own spare
-rows; no step uses the max-flow engine.  Steps keep each pair's (s, t)
-order, so a later step's path stitches onto its stubs as it stands.
+The steps run in a loop, not by recursion, on one _Board that each step
+updates for the cells it moves only.  It keeps the active lines as
+ordered sets, indexes the terminals by column and by pair (a map from
+each terminal's cell to its partner's, whose keys are the occupied
+cells) and keeps a heap of the pairs that share a line, so a step reads
+only its block's columns and the pairs it moves; only a transpose
+re-indexes every live pair.  Every evacuation is one call to drain_block, which is handed
+the block's terminals to walk out and finds its own spare rows; no step
+uses the max-flow engine.  Steps keep each pair's (s, t) order, so a
+later step's path stitches onto its stubs as it stands.
 The steps route on plain (r, c) tuples; the linkage is folded back out
 of the finished trace by the same code that replays it, and replay
 builds its Vertex objects.
@@ -44,14 +48,18 @@ an infeasibility verdict.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
+from heapq import heappop, heappush
 from itertools import chain, islice
 
-from .grid import Vertex, flip
+from .grid import Vertex
 from .menger import disjoint_paths  # unused; perfbench/tracing.py wraps this name
 from .problem import Linkage, LinkageProblem, ProblemContractError
 
 Cell = tuple[int, int]  # a board cell (r, c); a Vertex compares and hashes equal
+_vertex = partial(tuple.__new__, Vertex)  # Vertex._make less its length check
 
 class SolverInvariantError(RuntimeError):
     """An internal construction step failed; carries the trace so far."""
@@ -182,16 +190,6 @@ def bridge_path(rows, block_cols, s: Cell, t: Cell, occupied) -> tuple[list[Cell
     raise SolverInvariantError("every bridge candidate is blocked; occupancy cap violated")
 
 
-def _plain_by_row(rows, block_cols, occupied, anchors) -> dict[int, list[Cell]]:
-    """The block's plain (non-anchor) terminals by row, in label and
-    block-column order; visits terminals only, not the whole block."""
-    row_set = set(rows)
-    hit = {v[0] for v in occupied
-           if v[1] in block_cols and v[0] in row_set and v not in anchors}
-    return {r: [v for v in ((r, c) for c in block_cols)
-                if v in occupied and v not in anchors] for r in sorted(hit)}
-
-
 def _free_dest(r: int, dest_cols, occupied) -> Cell | None:
     for c in dest_cols:
         if (r, c) not in occupied:
@@ -200,11 +198,11 @@ def _free_dest(r: int, dest_cols, occupied) -> Cell | None:
 
 
 def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
-                anchors) -> tuple[dict[Cell, list[Cell]], dict[int, int]]:
-    """Walk every plain terminal out of the block into the destination
+                plain) -> tuple[dict[Cell, list[Cell]], dict[int, int]]:
+    """Walk the plain terminals out of the block into the destination
     columns; the block is one or two columns wide.  occupied maps each
     terminal's cell to its partner's cell (its keys are the occupied
-    cells), and anchors are the block terminals that stay.
+    cells); the block terminals outside plain, its anchors, stay.
 
     Returns the paths, keyed by each plain terminal's cell, and the
     matching: an injective map from the rows that need a detour to spare
@@ -235,7 +233,9 @@ def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
     unclaimed, and the solver's cases ask only for one free entry in
     each destination row.
     """
-    plain_rows = _plain_by_row(rows, block_cols, occupied, set(anchors))
+    plain_rows: dict[int, list[Cell]] = {}  # in label order
+    for x in sorted(plain):
+        plain_rows.setdefault(x[0], []).append(x)
     needy = [r for r, xs in plain_rows.items()
              if len(xs) > 1 or _free_dest(r, dest_cols, occupied) is None]
     matching = {}
@@ -246,11 +246,10 @@ def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
         if len(spares) < len(needy):
             raise SolverInvariantError("rows needing a detour outnumber spare rows")
         matching = dict(zip(needy, spares))
-    dest_set = frozenset(dest_cols)
 
     def end(r: int, x: Cell) -> Cell:
         c = occupied[x][1]
-        if c in dest_set and (r, c) not in occupied:
+        if c in dest_cols and (r, c) not in occupied:
             return r, c
         w = _free_dest(r, dest_cols, occupied)
         if w is None:
@@ -258,15 +257,16 @@ def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
         return w
 
     out = {}
-    for r, plain in plain_rows.items():
+    for r, xs in plain_rows.items():
         spare = matching.get(r)
         if spare is not None:
-            detour = next((x for x in plain if (spare, x[1]) not in occupied), None)
+            detour = next((x for c in block_cols for x in xs  # block-column order
+                           if x[1] == c and (spare, c) not in occupied), None)
             if detour is None:
                 raise SolverInvariantError(f"spare row {spare} has no free block entry")
             out[detour] = [detour, (spare, detour[1]), end(spare, detour)]
-            plain = [x for x in plain if x != detour]
-        for x in plain:
+            xs = [x for x in xs if x != detour]
+        for x in xs:
             out[x] = [x, end(r, x)]
     return out, matching
 
@@ -275,42 +275,83 @@ def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
 # solver internals
 
 
-class _Moves:
-    """One step's relocation stubs, keyed by each moved terminal's cell at
-    the start of the step; a terminal that moves twice gets one stub."""
-
-    def __init__(self) -> None:
-        self.origin_of: dict[Cell, Cell] = {}
-        self.path: dict[Cell, list[Cell]] = {}
-
-    def apply(self, cur, path) -> None:
-        origin = self.origin_of.pop(cur, cur)
-        prev = self.path.get(origin)
-        self.path[origin] = prev[:-1] + path if prev else path
-        self.origin_of[path[-1]] = origin
+def _mirror(v: Cell) -> Cell:
+    """grid.flip for the plain (r, c) tuples the steps route on."""
+    return v[1], v[0]
 
 
-def _relocate(occupied, x: Cell, y: Cell) -> None:
-    """Move the terminal at x to the free cell y, in its own entry and in
-    its partner's."""
-    partner = occupied.pop(x)
-    occupied[y] = partner
-    occupied[partner] = y
+def _aligned(s: Cell, t: Cell) -> bool:
+    return s[0] == t[0] or s[1] == t[1]
 
 
-def _carry(pairs, moved, done: int):
-    """The pairs left after a step, at their new cells, and the stubs of
-    those with a terminal in moved (cell at the step's start -> path)."""
-    rest, stubs = [], {}
-    for pair in pairs:
-        s, t, idx = pair
-        if s in moved or t in moved:
-            ps, pt = moved.get(s), moved.get(t)
-            stubs[idx] = (tuple(ps) if ps else None, tuple(pt) if pt else None)
-            pair = (ps[-1] if ps else s, pt[-1] if pt else t, idx)
-        if idx != done:
-            rest.append(pair)
-    return rest, stubs
+class _Board:
+    """The active lines (ordered sets) and live pairs of a solve, and
+    their indexes: occupied, by_col, idx_of and the heap aligned.
+
+    pairs stays in index order; aligned may hold stale indices, which
+    first_aligned drops; moved holds this step's [s, t] stubs by index.
+    """
+
+    def __init__(self, rows, cols, pairs) -> None:
+        self.rows, self.cols = dict.fromkeys(rows), dict.fromkeys(cols)
+        self.pairs = dict(enumerate(pairs))
+        # ascending, so already a heap
+        self.aligned = [i for i, (s, t) in self.pairs.items() if _aligned(s, t)]
+        self.moved: dict[int, list] = {}
+        self._index()
+
+    def _index(self) -> None:
+        self.occupied = {v: w for s, t in self.pairs.values() for v, w in ((s, t), (t, s))}
+        self.idx_of = {v: idx for idx, pair in self.pairs.items() for v in pair}
+        self.by_col: dict[int, set[Cell]] = defaultdict(set)
+        for v in self.occupied:
+            self.by_col[v[1]].add(v)
+
+    def first_aligned(self) -> int | None:
+        """The lowest index of a live pair on one row or one column."""
+        heap = self.aligned
+        while heap:
+            pair = self.pairs.get(heap[0])
+            if pair is not None and _aligned(*pair):
+                return heap[0]
+            heappop(heap)
+        return None
+
+    def relocate(self, x: Cell, path: list[Cell]) -> None:
+        """Move the terminal at x along path to its free last cell, and
+        extend its side of its pair's stub by the path."""
+        y = path[-1]
+        partner = self.occupied.pop(x)
+        self.occupied[y], self.occupied[partner] = partner, y
+        self.by_col[x[1]].discard(x)
+        self.by_col[y[1]].add(y)
+        self.idx_of[y] = idx = self.idx_of.pop(x)
+        s, t = self.pairs[idx]
+        side = 0 if x == s else 1
+        stub = self.moved.setdefault(idx, [None, None])
+        stub[side] = stub[side][:-1] + path if stub[side] else path
+        s, t = self.pairs[idx] = (y, t) if side == 0 else (s, y)
+        if _aligned(s, t):
+            heappush(self.aligned, idx)
+
+    def take_stubs(self) -> dict[int, tuple]:
+        """This step's stubs (start cell first) by pair index; clears them."""
+        stubs = {idx: (tuple(ps) if ps else None, tuple(pt) if pt else None)
+                 for idx, (ps, pt) in sorted(self.moved.items())}
+        self.moved = {}
+        return stubs
+
+    def route(self, idx: int) -> None:
+        """Take the routed pair idx off the board."""
+        for v in self.pairs.pop(idx):
+            del self.occupied[v], self.idx_of[v]
+            self.by_col[v[1]].discard(v)
+
+    def transpose(self, reason: str) -> TransposeStep:
+        self.rows, self.cols = self.cols, self.rows
+        self.pairs = {i: (_mirror(s), _mirror(t)) for i, (s, t) in self.pairs.items()}
+        self._index()
+        return TransposeStep(reason)
 
 
 def _stitch(inner, stub_s, stub_t):
@@ -318,66 +359,63 @@ def _stitch(inner, stub_s, stub_t):
     if stub_s is not None:
         if path[0] != stub_s[-1]:
             raise SolverInvariantError("stub does not meet its recursive path")
-        path = list(stub_s) + path[1:]
+        path[:1] = stub_s
     if stub_t is not None:
         if path[-1] != stub_t[-1]:
             raise SolverInvariantError("stub does not meet its recursive path")
-        path = path + list(stub_t)[-2::-1]
+        path += stub_t[-2::-1]
     return path
 
 
-def _finish(step, acc: dict[int, list[Cell]]) -> None:
-    """Stitch one step's stubs onto the paths routed by the steps after it."""
+def _finish(step, acc: dict[int, list[Cell]], cells) -> None:
+    """Stitch one step's stubs, read through cells, onto the later paths."""
     for idx, (stub_s, stub_t) in step.stubs.items():
         inner = acc.get(idx)
         if inner is None:
             raise SolverInvariantError(f"pair {idx} missing from the later steps")
-        acc[idx] = _stitch(inner, stub_s, stub_t)
-    acc[step.pair] = list(step.bridge)
+        acc[idx] = _stitch(inner, stub_s and cells(stub_s), stub_t and cells(stub_t))
+    acc[step.pair] = cells(step.bridge)
 
 
-def _base_single_row(rows, pairs):
-    return SingleRowStep(rows[0], {idx: (s, t) for s, t, idx in pairs})
-
-
-def _base_two_rows(rows, cols, pairs, occupied):
+def _base_two_rows(board):
     # flipped, the top row is a one-column block drained into the target
     # row; 2k <= len(cols) terminals leave at least as many columns with
     # both cells free as columns with both cells taken, so every top
     # terminal facing a taken cell finds a free column to detour through
-    top, target = rows
-    drained, _ = drain_block(cols, (top,), (target,),
-                             {flip(v): flip(w) for v, w in occupied.items()}, ())
-    stub = {flip(x): [flip(w) for w in path] for x, path in drained.items()}
+    top, target = board.rows
+    flipped = {_mirror(v): _mirror(w) for v, w in board.occupied.items()}
+    drained, _ = drain_block(board.cols, (top,), (target,), flipped,
+                             [v for v in flipped if v[1] == top])
+    stub = {_mirror(x): [_mirror(w) for w in path] for x, path in drained.items()}
     return TwoRowsStep(target, {idx: tuple(stub.get(s, [s]) + stub.get(t, [t])[::-1])
-                                for s, t, idx in pairs})
+                                for idx, (s, t) in board.pairs.items()})
 
 
-def _case_line_pair(rows, cols, pairs, chosen, occupied):
+def _case_line_pair(board, i1):
     # each other terminal of the column hops across its own row; one whose
     # row is full detours through a spare row, and counting terminals
     # against 2k <= d1' + d2' (with d2' >= 2) leaves enough spare rows
-    s1, t1, i1 = chosen
+    s1, t1 = board.pairs[i1]
     col0 = s1[1]
-    rest_cols = tuple(c for c in cols if c != col0)
-    drained, _ = drain_block(rows, (col0,), rest_cols, occupied, (s1, t1))
-    rec_pairs, stubs = _carry(pairs, drained, i1)
+    del board.cols[col0]
+    drained, _ = drain_block(board.rows, (col0,), board.cols, board.occupied,
+                             board.by_col[col0] - {s1, t1})
     for x, path in drained.items():
-        _relocate(occupied, x, path[-1])
-    del occupied[s1], occupied[t1]
-    staying = len(occupied) - len(drained)
-    step = LinePairStep(i1, col0, (s1, t1), tuple(sorted(drained)), staying, stubs)
-    return step, (rows, rest_cols, rec_pairs, occupied)
+        board.relocate(x, path)
+    board.route(i1)
+    staying = len(board.occupied) - len(drained)
+    return LinePairStep(i1, col0, (s1, t1), tuple(sorted(drained)), staying,
+                        board.take_stubs())
 
 
-def _case_two_columns(rows, cols, pairs, occupied):
-    s1, t1, i1 = pairs[0]
+def _case_two_columns(board, i1):
+    rows, occupied, rest_cols = board.rows, board.occupied, board.cols
+    s1, t1 = board.pairs[i1]
     block_cols = (s1[1], t1[1])
-    block_set = frozenset(block_cols)
-    rest_cols = tuple(c for c in cols if c not in block_set)
+    del rest_cols[s1[1]], rest_cols[t1[1]]
     anchors = {s1, t1}
     d1p = len(rows) - 1
-    block_terms = sorted(v for v in occupied if v[1] in block_set)
+    block_terms = sorted(board.by_col[s1[1]] | board.by_col[t1[1]])
     slack = d1p + 2 - len(block_terms)
     if not 0 <= slack <= d1p:
         raise SolverInvariantError("two-column occupancy out of range")
@@ -386,7 +424,6 @@ def _case_two_columns(rows, cols, pairs, occupied):
     if any(v[0] == bend for v in others):
         raise SolverInvariantError("plain terminal on the bridge row")
 
-    moves = _Moves()
     matching = None
     # The saturated rows never outnumber the slack: 2k <= d1' + d2' leaves
     # at most d2' - 2 + slack terminals outside the block, a full row takes
@@ -428,74 +465,56 @@ def _case_two_columns(rows, cols, pairs, occupied):
             raise SolverInvariantError(f"mover {tuple(x)} has no reachable low-block cell")
         path.append((down, c))
         pushes[x] = how
-        _relocate(occupied, x, path[-1])
-        moves.apply(x, path)
+        board.relocate(x, path)
     if others:
         # every plain block terminal now sits on a low row
         for r in low_rows:
             if all((r, c) in occupied for c in rest_cols):
                 raise SolverInvariantError("destination row saturated after relabeling")
-        drained, matching = drain_block(low_rows, block_cols, rest_cols, occupied, anchors)
+        plain = (board.by_col[s1[1]] | board.by_col[t1[1]]) - anchors
+        drained, matching = drain_block(low_rows, block_cols, rest_cols, occupied, plain)
         for cur in sorted(drained):
-            path = drained[cur]
-            _relocate(occupied, cur, path[-1])
-            moves.apply(cur, path)
-    rest_set = frozenset(rest_cols)
-    if any(x not in moves.path or moves.path[x][-1][1] not in rest_set for x in others):
+            board.relocate(cur, drained[cur])
+    if board.by_col[s1[1]] | board.by_col[t1[1]] != anchors:
         raise SolverInvariantError("a terminal was left behind in the deleted columns")
-    del occupied[s1], occupied[t1]
-    rec_pairs, stubs = _carry(pairs, moves.path, i1)
-    step = TwoColumnStep(i1, block_cols, slack, bend, tuple(bridge), top_rows,
-                         pushes or None, len(movers), in_block, matching, stubs)
-    return step, (rows, rest_cols, rec_pairs, occupied)
+    board.route(i1)
+    return TwoColumnStep(i1, block_cols, slack, bend, tuple(bridge), top_rows,
+                         pushes or None, len(movers), in_block, matching, board.take_stubs())
 
 
-def _transpose(rows, cols, pairs, occupied, reason):
-    flipped = [(flip(s), flip(t), idx) for s, t, idx in pairs]
-    return TransposeStep(reason), (cols, rows, flipped,
-                                   {flip(v): flip(w) for v, w in occupied.items()})
-
-
-def _next_step(rows, cols, pairs, occupied, retransposed):
-    """The case step for this problem and the smaller problem it leaves
-    (None after a base case); occupied maps each pair's terminals to
-    each other, and a case step updates it in place for the smaller
-    problem."""
+def _next_step(board, steps):
+    """The case step for the board after steps; a step that is not a base
+    case updates the board in place to the smaller problem it leaves."""
+    rows, cols = board.rows, board.cols
     if len(rows) > 2 >= len(cols) or len(rows) > 1 == len(cols):
         # a lone column, even of two cells, is routed as a row clique
-        return _transpose(rows, cols, pairs, occupied, "narrow-side-first")
+        return board.transpose("narrow-side-first")
     if len(rows) == 1:
-        return _base_single_row(rows, pairs), None
+        return SingleRowStep(next(iter(rows)), dict(board.pairs))
     if len(rows) == 2:
-        return _base_two_rows(rows, cols, pairs, occupied), None
-    for s, t, idx in pairs:
+        return _base_two_rows(board)
+    i1 = board.first_aligned()
+    if i1 is not None:
+        s, t = board.pairs[i1]
         if s[1] == t[1]:
-            return _case_line_pair(rows, cols, pairs, (s, t, idx), occupied)
-        if s[0] == t[0]:
-            return _transpose(rows, cols, pairs, occupied, "pair-in-row")
-    s1, t1, _ = pairs[0]
-    block = {s1[1], t1[1]}
-    in_block = sum(1 for v in occupied if v[1] in block)
-    if in_block > len(rows) + 1:
-        if retransposed:
+            return _case_line_pair(board, i1)
+        return board.transpose("pair-in-row")
+    i1 = next(iter(board.pairs))  # the lowest live index: pairs stay in index order
+    s1, t1 = board.pairs[i1]
+    if len(board.by_col[s1[1]]) + len(board.by_col[t1[1]]) > len(rows) + 1:
+        if steps[-1:] == [TransposeStep("two-column-overflow")]:
             raise SolverInvariantError("both the column and the row block overflow")
-        return _transpose(rows, cols, pairs, occupied, "two-column-overflow")
-    return _case_two_columns(rows, cols, pairs, occupied)
+        return board.transpose("two-column-overflow")
+    return _case_two_columns(board, i1)
 
 
 def _solve(rows, cols, pairs, steps) -> None:
     """Append case steps to steps until a base case or no pair is left."""
-    occupied = {}
-    for s, t, _ in pairs:
-        occupied[s], occupied[t] = t, s
-    retransposed = False
-    while pairs:
-        step, reduced = _next_step(rows, cols, pairs, occupied, retransposed)
-        steps.append(step)
-        if reduced is None:
+    board = _Board(rows, cols, pairs)
+    while board.pairs:
+        steps.append(_next_step(board, steps))
+        if isinstance(steps[-1], (SingleRowStep, TwoRowsStep)):
             return
-        rows, cols, pairs, occupied = reduced
-        retransposed = isinstance(step, TransposeStep) and step.reason == "two-column-overflow"
 
 
 def solve(problem: LinkageProblem) -> tuple[Linkage, SolverTrace]:
@@ -512,10 +531,9 @@ def solve(problem: LinkageProblem) -> tuple[Linkage, SolverTrace]:
             f"{problem.k} pairs exceed the guaranteed bound {bound};"
             " use the exhaustive oracle for such instances")
     sub = problem.subgrid
-    pairs = [(s, t, i) for i, (s, t) in enumerate(problem.pairs)]
     steps: list = []
     try:
-        _solve(sub.rows, sub.cols, pairs, steps)
+        _solve(sub.rows, sub.cols, problem.pairs, steps)
         trace = SolverTrace(tuple(steps))
         return replay(problem, trace), trace
     except SolverInvariantError as err:
@@ -527,16 +545,20 @@ def replay(problem: LinkageProblem, trace: SolverTrace) -> Linkage:
     """Rebuild the linkage from the recorded case decisions alone.
 
     solve() builds its own linkage this way too: the last step's paths
-    come first, and each earlier step stitches its stubs onto them.
+    come first, and each earlier step stitches its stubs onto them.  The
+    paths keep the problem's orientation; a step after an odd number of
+    transposes has its cells mirrored once, as they are read.
     """
     acc: dict[int, list[Cell]] = {}
+    mirrored = sum(isinstance(step, TransposeStep) for step in trace.steps) % 2 == 1
     for step in reversed(trace.steps):
+        cells = (lambda path: [_mirror(v) for v in path]) if mirrored else tuple
         if isinstance(step, TransposeStep):
-            acc = {i: [flip(v) for v in p] for i, p in acc.items()}
+            mirrored = not mirrored
         elif isinstance(step, (SingleRowStep, TwoRowsStep)):
             for i, p in step.paths.items():
-                acc[i] = list(p)
+                acc[i] = cells(p)
         else:
-            _finish(step, acc)
+            _finish(step, acc, cells)
     # the steps route on plain (r, c) tuples; the linkage holds vertices
-    return Linkage(tuple(tuple(map(Vertex._make, acc[i])) for i in range(len(problem.pairs))))
+    return Linkage(tuple(tuple(map(_vertex, acc[i])) for i in range(len(problem.pairs))))

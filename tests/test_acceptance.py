@@ -160,9 +160,9 @@ def test_criterion_6_counting_guards(capsys):
             assert len(needy) <= len(spare), "spare rows run out within the bound"
         if len(needy) > len(spare):
             with pytest.raises(SolverInvariantError):
-                drain_block(rows, block_cols, dest_cols, full_occ, anchors)
+                drain_block(rows, block_cols, dest_cols, full_occ, plain)
             continue
-        out, matching = drain_block(rows, block_cols, dest_cols, full_occ, anchors)
+        out, matching = drain_block(rows, block_cols, dest_cols, full_occ, plain)
         assert len(set(matching.values())) == len(matching), "matching not injective"
         assert set(matching) == needy and set(matching.values()) <= spare
         drains += 1

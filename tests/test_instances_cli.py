@@ -21,6 +21,13 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 class TestInstanceFormat:
     def test_parse_basic(self):
         p = parse_instance("# comment\ndims 2 3\npair 0 0 2 1\npair 1 2 0 3\n")
@@ -130,15 +137,12 @@ class TestCliSolve:
         # the reader of stdout is gone before anything is written, as when
         # `rooklink solve big.txt --trace | head -1` stops reading early
         inst = write(tmp_path, "a.txt", "dims 2 3\npair 0 0 2 1\npair 1 2 0 3\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "rooklink.cli", "solve", inst, "--trace"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+                stdout=write_end, stderr=subprocess.PIPE, env=src_env(), timeout=60)
         finally:
             os.close(write_end)
         assert proc.stderr == b""
@@ -186,6 +190,17 @@ class TestCliOracle:
                      "dims 3 3\npair 0 0 1 1\npair 1 0 2 2\npair 2 0 3 3\n")
         assert main(["oracle", inst, "--budget", "2"]) == 3
         assert "indeterminate" in capsys.readouterr().out
+
+    def test_default_budget_ends_a_long_search_in_exit_3(self, tmp_path, capsys, monkeypatch):
+        # three pairs on a 10x10 board that the search leaves unsettled
+        # after 20M nodes; with no --budget the default budget ends it,
+        # and --budget still overrides the default
+        monkeypatch.setattr(rooklink.cli, "ORACLE_NODE_BUDGET", 1000)
+        inst = write(tmp_path, "a.txt", "dims 9 9\npair 0 0 9 9\npair 0 9 9 0\npair 5 5 4 4\n")
+        assert main(["oracle", inst]) == 3
+        assert capsys.readouterr().out == "indeterminate: node budget exhausted after 1001 nodes\n"
+        assert main(["oracle", inst, "--budget", "5000"]) == 3
+        assert capsys.readouterr().out == "indeterminate: node budget exhausted after 5001 nodes\n"
 
 
     def test_long_witness_needs_no_deep_recursion(self, tmp_path, capsys):
@@ -370,3 +385,11 @@ class TestCliCyclicDual:
 
     def test_below_range_exits_2(self, capsys):
         assert main(["cyclic-dual", "1"]) == 2
+
+    def test_runs_as_a_module(self, capsys):
+        # `python -m rooklink` is the same command line as `rooklink`
+        assert main(["cyclic-dual", "5"]) == 0
+        proc = subprocess.run([sys.executable, "-m", "rooklink", "cyclic-dual", "5"],
+                              capture_output=True, text=True, env=src_env(), timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout == capsys.readouterr().out

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rooklink import (LinkageProblem, ProblemContractError, ProductGraph,
-                      SolverInvariantError, Vertex, all_pairings,
+                      SolverInvariantError, Subgrid, Vertex, all_pairings,
                       cyclic_dual_params, exhaustive_solve,
                       max_guaranteed_pairs, random_pairing, render_trace,
                       replay, serialize_linkage, solve, verify)
@@ -193,38 +193,38 @@ class TestDoubledRowMatching:
     # the matching drain_block returns alongside its paths
     def test_lowest_label_assignment(self):
         occupied = unpaired(V(1, 0), V(1, 1), V(2, 0), V(2, 1))
-        _, m = drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set())
+        _, m = drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set(occupied))
         assert m == {1: 3, 2: 4}
 
     def test_no_doubled_rows(self):
         occupied = unpaired(V(1, 0), V(3, 1))
-        assert drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set())[1] == {}
+        assert drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set(occupied))[1] == {}
 
     def test_counting_bound(self):
         # four plain terminals on four rows leave exactly two spare rows
         occupied = unpaired(V(1, 0), V(1, 1), V(2, 0), V(2, 1))
-        _, m = drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set())
+        _, m = drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set(occupied))
         assert len(m) == 2
         # a third doubled row would outnumber them
         occupied.update(unpaired(V(3, 0), V(3, 1)))
         with pytest.raises(SolverInvariantError):
-            drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set())
+            drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set(occupied))
 
     def test_anchor_rows_are_spare(self):
         anchors = {V(3, 0)}
         occupied = unpaired(V(1, 0), V(1, 1), V(3, 0))
-        _, m = drain_block((1, 2, 3), (0, 1), (2, 3), occupied, anchors)
+        _, m = drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set(occupied) - anchors)
         assert m == {1: 2}
 
 
 class TestDrainBlock:
     def test_single_terminal_crosses_directly(self):
-        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), unpaired(V(2, 0)), set())
+        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), unpaired(V(2, 0)), {V(2, 0)})
         assert out == {V(2, 0): [V(2, 0), V(2, 2)]}
 
     def test_doubled_row_detours_through_spare_row(self):
         occupied = unpaired(V(2, 0), V(2, 1))
-        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set())
+        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set(occupied))
         assert out[V(2, 0)] == [V(2, 0), V(1, 0), V(1, 2)]
         assert out[V(2, 1)] == [V(2, 1), V(2, 2)]
 
@@ -232,11 +232,11 @@ class TestDrainBlock:
         # (2, 0)'s partner sits in column 3, so it lands in (2, 3) while
         # that cell is free; taken, or outside the destination columns, it
         # falls back to the row's first free cell
-        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {V(2, 0): V(5, 3)}, set())
+        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {V(2, 0): V(5, 3)}, {V(2, 0)})
         assert out == {V(2, 0): [V(2, 0), V(2, 3)]}
         for taken, partner in ((unpaired(V(2, 3)), V(5, 3)), ({}, V(5, 1)), ({}, V(5, 7))):
             occupied = {V(2, 0): partner, **taken}
-            out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), occupied, set())
+            out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), occupied, {V(2, 0)})
             assert out == {V(2, 0): [V(2, 0), V(2, 2)]}
 
     def test_partner_column_first_on_a_spare_row_detour(self):
@@ -244,10 +244,10 @@ class TestDrainBlock:
         # partner's column 3, and (2, 1) straight into its partner's column
         # 4; with (1, 3) taken the detour ends on row 1's first free cell
         partner = {V(2, 0): V(0, 3), V(2, 1): V(0, 4)}
-        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), partner, set())
+        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), partner, set(partner))
         assert out == {V(2, 0): [V(2, 0), V(1, 0), V(1, 3)], V(2, 1): [V(2, 1), V(2, 4)]}
         out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {**partner, **unpaired(V(1, 3))},
-                             set())
+                             set(partner))
         assert out == {V(2, 0): [V(2, 0), V(1, 0), V(1, 2)], V(2, 1): [V(2, 1), V(2, 4)]}
 
     def test_endpoints_land_in_distinct_rows(self):
@@ -274,9 +274,9 @@ class TestDrainBlock:
             occupied.update(partner or {})
             if stuck or needy > spare:
                 with pytest.raises(SolverInvariantError):
-                    drain_block(rows, block_cols, dest_cols, occupied, set())
+                    drain_block(rows, block_cols, dest_cols, occupied, block)
                 continue
-            out, _ = drain_block(rows, block_cols, dest_cols, occupied, set())
+            out, _ = drain_block(rows, block_cols, dest_cols, occupied, block)
             assert set(out) == block
             ends = [p[-1] for p in out.values()]
             assert len({e[0] for e in ends}) == len(ends)
@@ -486,7 +486,6 @@ class TestSweeps:
         assert trace.depth >= 2
 
     def test_problem_on_a_sparse_subgrid(self):
-        from rooklink import Subgrid
         sub = Subgrid(ProductGraph(5, 6), (0, 2, 5), (1, 3, 4, 6))
         p = LinkageProblem(sub, ((V(0, 1), V(5, 3)), (V(2, 4), V(0, 6))))
         solve_and_check(p)
@@ -572,6 +571,25 @@ class TestPinnedOutput:
             digest.update(render_trace(trace).encode())
         assert digest.hexdigest() == (
             "d5bf5eb9020b7026dcde50a49d62d537ff4ea8ab691c117d4d9e61fee9173bf8")
+
+    def test_large_boards_match_recorded_digest(self):
+        # boards past the seeded mix: two squares, two thin strips of
+        # either orientation and a subgrid with gaps in its labels, all at
+        # the bound; the digest was recorded before the solver indexed its
+        # terminals by column and by pair
+        rng = random.Random(2718)
+        problems = [_bounded(rng, d1, d2, (d1 + d2) // 2)
+                    for d1, d2 in ((200, 200), (300, 300), (20, 300), (300, 20))]
+        sub = Subgrid(ProductGraph(90, 120), tuple(range(0, 91, 2)), tuple(range(1, 121, 3)))
+        terms = rng.sample(sorted(sub.vertices()), 2 * max_guaranteed_pairs(45, 39))
+        problems.append(LinkageProblem(sub, tuple(random_pairing(sorted(terms), rng))))
+        digest = hashlib.sha256()
+        for p in problems:
+            link, trace = solve(p)
+            digest.update(serialize_linkage(link.paths).encode())
+            digest.update(render_trace(trace).encode())
+        assert digest.hexdigest() == (
+            "7f2c3c6db9457aabf4bc25fbcb6b5cde03e4dac09fa19b9e984f0c71f660077f")
 
     @pytest.mark.parametrize("d1, d2, seed", [(2, 3, 1), (5, 4, 2), (8, 8, 3), (100, 100, 4)])
     def test_paths_hold_vertices_only(self, d1, d2, seed):
