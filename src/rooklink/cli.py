@@ -48,6 +48,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as err:
         raise InstanceFormatError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:  # a ValueError, which main would call a bug
+        raise InstanceFormatError(f"{path} is not UTF-8: {err.reason} at byte {err.start}") from None
 
 
 def _cmd_solve(args) -> int:

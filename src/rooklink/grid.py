@@ -26,9 +26,10 @@ class Vertex(NamedTuple):
         return f"({self.row},{self.col})"
 
 
-def flip(v: Vertex) -> Vertex:
-    """Mirror a vertex across the main diagonal (row/column swap)."""
-    return Vertex(v[1], v[0])
+def flip(v: tuple[int, int]) -> tuple[int, int]:
+    """Mirror a cell across the main diagonal (row/column swap) as a
+    plain tuple, which a Vertex compares and hashes equal to."""
+    return v[1], v[0]
 
 
 class ProblemContractError(ValueError):
@@ -45,7 +46,8 @@ class EmptySubgridError(ValueError):
 
 @dataclass(frozen=True)
 class ProductGraph:
-    """The full grid with rows 0..d1 and columns 0..d2."""
+    """The full grid with rows 0..d1 and columns 0..d2; its cells, in
+    row-major order, and every board query on them are subgrid()'s."""
 
     d1: int
     d2: int
@@ -67,23 +69,8 @@ class ProductGraph:
     def vertex_count(self) -> int:
         return self.n_rows * self.n_cols
 
-    def contains(self, v: Vertex) -> bool:
-        return 0 <= v[0] <= self.d1 and 0 <= v[1] <= self.d2
-
-    def require(self, v: Vertex) -> None:
-        if not self.contains(v):
-            raise InvalidVertexError(f"vertex {tuple(v)} outside grid ({self.d1}, {self.d2})")
-
     def vertices(self) -> Iterator[Vertex]:
-        for r in range(self.n_rows):
-            for c in range(self.n_cols):
-                yield Vertex(r, c)
-
-    def adjacent(self, u: Vertex, v: Vertex) -> bool:
-        """True iff u != v and u, v share a row or a column."""
-        self.require(u)
-        self.require(v)
-        return u != v and (u[0] == v[0] or u[1] == v[1])
+        return self.subgrid().vertices()
 
     @lru_cache(maxsize=64)
     def subgrid(self) -> "Subgrid":

@@ -27,7 +27,7 @@ from itertools import groupby, islice, permutations
 from math import comb, factorial, prod
 import random
 
-from .grid import ProductGraph, Vertex
+from .grid import ProductGraph, Vertex, flip
 from .problem import Linkage, LinkageProblem, ProblemContractError
 
 
@@ -404,17 +404,17 @@ def _orbit_instances(grid: ProductGraph, k: int):
     """
     flipped = grid.n_rows > grid.n_cols
     m, n, square = _sweep_board(grid, k)
+    if m == 1:
+        # one row, before any table: every permutation of its 2k cells is
+        # a symmetry, so all (2k - 1)!! pairings are one orbit, and the
+        # first in all_pairings order, cell 2i with cell 2i + 1, stands for it
+        verts = [flip((0, c)) if flipped else (0, c) for c in range(2 * k)]
+        yield LinkageProblem(grid, tuple(zip(verts[::2], verts[1::2])))
+        return
     tables = _row_tables(m)
     for pattern in _patterns(m, n, 2 * k, tables, square):
         cells, gens = _symmetries(pattern, m, tables, square)
-        verts = [Vertex(c, r) if flipped else Vertex(r, c) for r, c in cells]
-        if m == 1:
-            # one row: the 2k cells fill 2k equal columns, whose swap and
-            # cycle generate every permutation of the cells, so all
-            # (2k - 1)!! pairings are one orbit and the first stands for it
-            first = next(all_pairings(range(2 * k)))
-            yield LinkageProblem(grid, tuple((verts[a], verts[b]) for a, b in first))
-            continue
+        verts = [flip(cell) if flipped else cell for cell in cells]
         moves = [(g, sorted(range(2 * k), key=g.__getitem__)) for g in gens]
         seen = bytearray(prod(range(1, 2 * k, 2)))  # one flag per pairing, by rank
         for rank, pairing in enumerate(all_pairings(range(2 * k))):

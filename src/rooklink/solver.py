@@ -54,7 +54,7 @@ from functools import partial
 from heapq import heappop, heappush
 from itertools import chain, islice
 
-from .grid import Vertex
+from .grid import Vertex, flip
 from .menger import disjoint_paths  # unused; perfbench/tracing.py wraps this name
 from .problem import Linkage, LinkageProblem, ProblemContractError
 
@@ -275,11 +275,6 @@ def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
 # solver internals
 
 
-def _mirror(v: Cell) -> Cell:
-    """grid.flip for the plain (r, c) tuples the steps route on."""
-    return v[1], v[0]
-
-
 def _aligned(s: Cell, t: Cell) -> bool:
     return s[0] == t[0] or s[1] == t[1]
 
@@ -349,7 +344,7 @@ class _Board:
 
     def transpose(self, reason: str) -> TransposeStep:
         self.rows, self.cols = self.cols, self.rows
-        self.pairs = {i: (_mirror(s), _mirror(t)) for i, (s, t) in self.pairs.items()}
+        self.pairs = {i: (flip(s), flip(t)) for i, (s, t) in self.pairs.items()}
         self._index()
         return TransposeStep(reason)
 
@@ -383,10 +378,10 @@ def _base_two_rows(board):
     # both cells free as columns with both cells taken, so every top
     # terminal facing a taken cell finds a free column to detour through
     top, target = board.rows
-    flipped = {_mirror(v): _mirror(w) for v, w in board.occupied.items()}
+    flipped = {flip(v): flip(w) for v, w in board.occupied.items()}
     drained, _ = drain_block(board.cols, (top,), (target,), flipped,
                              [v for v in flipped if v[1] == top])
-    stub = {_mirror(x): [_mirror(w) for w in path] for x, path in drained.items()}
+    stub = {flip(x): [flip(w) for w in path] for x, path in drained.items()}
     return TwoRowsStep(target, {idx: tuple(stub.get(s, [s]) + stub.get(t, [t])[::-1])
                                 for idx, (s, t) in board.pairs.items()})
 
@@ -552,7 +547,7 @@ def replay(problem: LinkageProblem, trace: SolverTrace) -> Linkage:
     acc: dict[int, list[Cell]] = {}
     mirrored = sum(isinstance(step, TransposeStep) for step in trace.steps) % 2 == 1
     for step in reversed(trace.steps):
-        cells = (lambda path: [_mirror(v) for v in path]) if mirrored else tuple
+        cells = (lambda path: [flip(v) for v in path]) if mirrored else tuple
         if isinstance(step, TransposeStep):
             mirrored = not mirrored
         elif isinstance(step, (SingleRowStep, TwoRowsStep)):

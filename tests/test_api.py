@@ -3,6 +3,8 @@
 Routing pieces the solver and the Menger engine use internally, and
 that only tests call (drain_block, bridge_path, disjoint_paths), stay in
 their modules; this pin keeps them from drifting back into the API.
+The board's queries live on Subgrid alone, and ProductGraph's members
+are pinned so that a second copy of them cannot drift back either.
 """
 
 import rooklink
@@ -22,6 +24,14 @@ PUBLIC = {
 def test_all_is_pinned():
     assert len(rooklink.__all__) == len(set(rooklink.__all__))
     assert set(rooklink.__all__) == PUBLIC
+
+
+PRODUCT_GRAPH = {"d1", "d2", "n_rows", "n_cols", "vertex_count", "vertices", "subgrid"}
+
+
+def test_product_graph_members_are_pinned():
+    members = {name for name in dir(rooklink.ProductGraph(2, 3)) if not name.startswith("_")}
+    assert members == PRODUCT_GRAPH
 
 
 def test_every_exported_name_resolves():

@@ -18,19 +18,19 @@ def subgrids(draw, max_dim=4):
 
 class TestAdjacency:
     def test_same_row(self):
-        g = ProductGraph(2, 3)
+        g = ProductGraph(2, 3).subgrid()
         assert g.adjacent(Vertex(0, 0), Vertex(0, 3))
 
     def test_same_column(self):
-        g = ProductGraph(2, 3)
+        g = ProductGraph(2, 3).subgrid()
         assert g.adjacent(Vertex(2, 1), Vertex(0, 1))
 
     def test_diagonal_not_adjacent(self):
-        g = ProductGraph(2, 3)
+        g = ProductGraph(2, 3).subgrid()
         assert not g.adjacent(Vertex(0, 0), Vertex(1, 1))
 
     def test_out_of_range(self):
-        g = ProductGraph(2, 3)
+        g = ProductGraph(2, 3).subgrid()
         with pytest.raises(InvalidVertexError):
             g.adjacent(Vertex(0, 0), Vertex(3, 0))
 
@@ -86,3 +86,19 @@ class TestSubgrid:
 class TestTranspose:
     def test_vertex_map(self):
         assert flip(Vertex(1, 2)) == Vertex(2, 1)
+
+    def test_mirror_is_a_plain_tuple(self):
+        # the solver mirrors every live terminal at a transpose; a Vertex
+        # would cost several times as much to build, and compares equal
+        assert type(flip(Vertex(1, 2))) is tuple
+
+    @given(st.integers(0, 9), st.integers(0, 9))
+    def test_involution(self, r, c):
+        assert flip(flip(Vertex(r, c))) == Vertex(r, c)
+
+
+class TestProductGraph:
+    def test_vertices_are_row_major_and_the_subgrids(self):
+        g = ProductGraph(2, 3)
+        row_major = [Vertex(r, c) for r in range(3) for c in range(4)]
+        assert list(g.vertices()) == row_major == list(g.subgrid().vertices())

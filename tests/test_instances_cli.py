@@ -89,6 +89,13 @@ class TestCliSolve:
     def test_missing_file_exits_2(self, capsys):
         assert main(["solve", "/nonexistent/path.txt"]) == 2
 
+    def test_non_utf8_instance_is_an_input_error(self, tmp_path, capsys):
+        # instances are UTF-8; a bad byte is the input's fault, not a bug
+        inst = tmp_path / "a.txt"
+        inst.write_bytes(b"dims 2 2\npair 0 0 1 1 \xff\n")
+        assert main(["solve", str(inst)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_trace_flag_appends_case_log(self, tmp_path, capsys):
         inst = write(tmp_path, "a.txt", "dims 2 3\npair 0 0 2 1\npair 1 2 0 3\n")
         assert main(["solve", inst, "--trace"]) == 0
@@ -167,6 +174,13 @@ class TestCliVerify:
     def test_missing_linkage_exits_2(self, tmp_path):
         inst = write(tmp_path, "a.txt", "dims 2 3\npair 0 0 2 1\n")
         assert main(["verify", inst, str(tmp_path / "nope.out")]) == 2
+
+    def test_non_utf8_linkage_is_an_input_error(self, tmp_path, capsys):
+        inst = write(tmp_path, "a.txt", "dims 2 3\npair 0 0 2 1\n")
+        link = tmp_path / "a.out"
+        link.write_bytes(b"path 1: (0,0) (2,0) (2,1) \xff\n")
+        assert main(["verify", inst, str(link)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCliOracle:
@@ -304,6 +318,12 @@ class TestCliSharpness:
         out = capsys.readouterr().out
         assert line in out
         assert "none found: every pairing is feasible" in out
+
+    def test_long_row_is_one_orbit_without_recursion(self, capsys):
+        # 1,000 columns, past the recursion limit of a column-by-column
+        # pattern search, which a one-row board never starts
+        assert main(["sharpness", "0", "999", "--k", "500"]) == 0
+        assert "grid 0 999, 500 pairs, 1 pairings checked, 1000 nodes" in capsys.readouterr().out
 
     def test_budget_exhaustion_exits_3(self, capsys):
         assert main(["sharpness", "2", "3", "--exhaustive", "--budget", "10"]) == 3

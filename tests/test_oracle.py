@@ -379,6 +379,19 @@ class TestOrbitSweep:
         (p,) = rooklink.oracle._orbit_instances(ProductGraph(0, 9), 5)
         assert p.pairs == tuple((V(0, a), V(0, b)) for a, b in next(all_pairings(range(10))))
 
+    def test_one_row_builds_no_table(self, monkeypatch):
+        # 2k = 1000 columns: growing a pattern recurses once per column,
+        # so a one-row board is answered before any table is built
+        def no_tables(m):
+            raise AssertionError("built the row tables of a one-row board")
+
+        monkeypatch.setattr(rooklink.oracle, "_row_tables", no_tables)
+        res = find_infeasible_pairing(0, 999, 500)
+        assert (res.found, res.completed, res.instances_checked, res.nodes_explored) == (
+            None, True, 1, 1000)
+        (p,) = rooklink.oracle._orbit_instances(ProductGraph(9, 0), 5)
+        assert p.pairs == tuple((V(a, 0), V(b, 0)) for a, b in next(all_pairings(range(10))))
+
     def test_one_row_verdict_is_unchanged(self):
         res = find_infeasible_pairing(0, 5, 3, exhaustive=True)
         assert (res.found, res.completed, res.instances_checked, res.nodes_explored) == (
