@@ -14,8 +14,8 @@ from .instances import (InstanceFormatError, parse_instance, parse_linkage,
                         serialize_instance, serialize_linkage)
 from .menger import connectivity
 from .oracle import (SharpnessResult, Verdict, VerifyReport, all_pairings,
-                     exhaustive_solve, find_infeasible_pairing, is_k_linked,
-                     random_pairing, verify)
+                     exhaustive_solve, find_infeasible_pairing, random_pairing,
+                     verify)
 from .problem import (Linkage, LinkageProblem, ProblemContractError,
                       max_guaranteed_pairs)
 from .solver import (SolverInvariantError, SolverTrace, cyclic_dual_params,
@@ -29,7 +29,7 @@ __all__ = [
     "ProductGraph", "SharpnessResult", "SolverInvariantError", "SolverTrace",
     "Subgrid", "Verdict", "Vertex", "VerifyReport", "all_pairings",
     "connectivity", "cyclic_dual_params", "exhaustive_solve",
-    "find_infeasible_pairing", "flip", "is_k_linked", "max_guaranteed_pairs",
+    "find_infeasible_pairing", "flip", "max_guaranteed_pairs",
     "parse_instance", "parse_linkage", "random_pairing", "render_trace",
     "replay", "serialize_instance", "serialize_linkage", "solve", "verify",
 ]

@@ -1,19 +1,20 @@
 """Command-line front end.
 
 Subcommands: solve, verify, oracle, connectivity, sharpness, fuzz,
-cyclic-dual.  Exit codes are stable across commands: 0 success/pass,
-1 verification failure or infeasible (for fuzz: some instance failed to
-solve or to verify; the campaign still runs to the end), 2 input error (an
-InstanceFormatError or a ProblemContractError), 3 indeterminate (a node
-budget ran out, which for oracle defaults to ORACLE_NODE_BUDGET, or a
-board past connectivity's size guard), 4 internal error (a
-SolverInvariantError, reported on stderr with the solver's trace, as is
-a solved linkage that fails verify, which solve checks before printing
-anything; or any other ValueError: either way a bug), and 141 when the
-reader of stdout closed the pipe early (as if killed by SIGPIPE; nothing
-more is printed).  Randomised commands are reproducible from their
-seed; timing is printed to stderr so stdout stays byte-identical across
-runs.
+cyclic-dual.  Exit codes are stable across commands: 0 success/pass;
+1 verification failure or infeasible (fuzz: some instance failed to
+solve or verify; the campaign still runs to the end); 2 input error
+(InstanceFormatError or ProblemContractError, such as a board with
+d1 + d2 > MAX_DIMENSION_SUM); 3 indeterminate (a node budget ran out,
+oracle's defaulting to ORACLE_NODE_BUDGET, or a board past a size guard,
+checked before any table is built: CONNECTIVITY_MAX_VERTICES, or
+ORACLE_MAX_VERTICES for oracle and sharpness); 4 internal error (a
+SolverInvariantError or a solved linkage failing verify, either reported
+with the solver's trace, or any other ValueError: a bug either way); 141
+when stdout's reader closed the pipe early (as if killed by SIGPIPE).
+Randomised commands are reproducible from their seed, and --workers is
+capped at the machine's cores; timing goes to stderr, so stdout stays
+byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .grid import ProductGraph
 from .instances import (InstanceFormatError, parse_instance, parse_linkage,
                         serialize_instance, serialize_linkage)
 from .menger import connectivity
-from .oracle import exhaustive_solve, find_infeasible_pairing, random_pairing, verify
+from .oracle import exhaustive_solve, find_infeasible_pairing, judged, random_problem, verify
 from .problem import Linkage, LinkageProblem, ProblemContractError, max_guaranteed_pairs
 from .solver import SolverInvariantError, cyclic_dual_params, render_trace, solve
 
@@ -39,6 +40,7 @@ EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1`
 CONNECTIVITY_MAX_VERTICES = 400  # connectivity costs about (d1 + d2)^4.5
+ORACLE_MAX_VERTICES = 10_000  # the oracle's board table: 30-44 MB at 100 x 100
 ORACLE_NODE_BUDGET = 10_000_000  # oracle's default; 15-20 s on a 2-vCPU Xeon VM
 
 
@@ -76,8 +78,17 @@ def _cmd_verify(args) -> int:
     return EXIT_FAIL
 
 
+def _refuse(command: str, n: int, cap: int) -> int:
+    """A board past a command's size guard: say so, and exit indeterminate."""
+    print(f"error: board too large for {command} ({n} vertices > {cap})", file=sys.stderr)
+    return EXIT_INDETERMINATE
+
+
 def _cmd_oracle(args) -> int:
     problem = parse_instance(_read(args.instance))
+    n = problem.subgrid.vertex_count
+    if n > ORACLE_MAX_VERTICES:
+        return _refuse("oracle", n, ORACLE_MAX_VERTICES)
     verdict = exhaustive_solve(problem, args.budget)
     if verdict.indeterminate:
         print(f"indeterminate: node budget exhausted after {verdict.nodes_explored} nodes")
@@ -94,14 +105,15 @@ def _cmd_connectivity(args) -> int:
     grid = ProductGraph(args.d1, args.d2)
     n = grid.vertex_count
     if grid.d1 and grid.d2 and n > CONNECTIVITY_MAX_VERTICES:  # cliques need no flow
-        print(f"error: board too large for connectivity ({n} vertices"
-              f" > {CONNECTIVITY_MAX_VERTICES})", file=sys.stderr)
-        return EXIT_INDETERMINATE
+        return _refuse("connectivity", n, CONNECTIVITY_MAX_VERTICES)
     print(connectivity(grid.subgrid()))
     return EXIT_OK
 
 
 def _cmd_sharpness(args) -> int:
+    n = ProductGraph(args.d1, args.d2).vertex_count
+    if n > ORACLE_MAX_VERTICES:
+        return _refuse("sharpness", n, ORACLE_MAX_VERTICES)
     k = args.k if args.k is not None else max_guaranteed_pairs(args.d1, args.d2) + 1
     result = find_infeasible_pairing(
         args.d1, args.d2, k,
@@ -139,48 +151,42 @@ def _cmd_fuzz(args) -> int:
         raise InstanceFormatError("ranges must look like MIN:MAX") from None
     if not (0 <= lo1 <= hi1 and 0 <= lo2 <= hi2):
         raise InstanceFormatError("ranges must satisfy 0 <= MIN <= MAX")
+    ProductGraph(hi1, hi2)  # the largest board is refused before any instance runs
     if args.k is not None and args.k < 0:
         raise ProblemContractError(f"pair count must be non-negative, got {args.k}")
+    count = max(args.count, 0)
     rng = random.Random(args.seed)
-    problems = []
-    for _ in range(args.count):
-        d1 = rng.randint(lo1, hi1)
-        d2 = rng.randint(lo2, hi2)
-        k = max_guaranteed_pairs(d1, d2)
-        if args.k is not None:
-            k = min(k, args.k)
-        grid = ProductGraph(d1, d2)
-        terminals = sorted(rng.sample(sorted(grid.vertices()), 2 * k))
-        problems.append(LinkageProblem(grid, tuple(random_pairing(terminals, rng))))
-    started = time.perf_counter()
-    if args.workers > 1 and problems:
-        from multiprocessing import Pool
 
-        with Pool(args.workers) as pool:
-            outcomes = pool.map(_fuzz_one, problems)
-    else:
-        outcomes = [_fuzz_one(p) for p in problems]
-    elapsed = time.perf_counter() - started
-    for i, (problem, (_, _, failure)) in enumerate(zip(problems, outcomes)):
+    def problems():
+        for _ in range(count):
+            grid = ProductGraph(rng.randint(lo1, hi1), rng.randint(lo2, hi2))
+            k = max_guaranteed_pairs(grid.d1, grid.d2)
+            yield random_problem(grid, k if args.k is None else min(k, args.k), rng)
+
+    solved = verified = max_depth = 0
+    started = time.perf_counter()
+    outcomes = judged(_fuzz_one, problems(), args.workers)
+    for i, (problem, (ok, depth, failure)) in enumerate(outcomes):
+        solved += failure is None
+        verified += ok
+        max_depth = max(max_depth, depth)
         if failure is not None:
             # an instance file that `rooklink solve` reads back as it is
             name = f"fail-{args.seed}-{i}.txt"
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write(serialize_instance(problem) + failure)
             print(f"solver failed on instance {i}; wrote {name}", file=sys.stderr)
-    solved = sum(1 for _, _, failure in outcomes if failure is None)
-    verified = sum(1 for ok, _, _ in outcomes if ok)
-    max_depth = max((depth for _, depth, _ in outcomes), default=0)
+    elapsed = time.perf_counter() - started
     print("fuzz-report")
     print(f"seed={args.seed}")
     print(f"d1-range={lo1}:{hi1}")
     print(f"d2-range={lo2}:{hi2}")
-    print(f"instances={len(problems)}")
+    print(f"instances={count}")
     print(f"solver-successes={solved}")
     print(f"verifier-passes={verified}")
     print(f"max-trace-depth={max_depth}")
     print(f"elapsed={elapsed:.2f}s", file=sys.stderr)
-    return EXIT_OK if verified == len(problems) else EXIT_FAIL
+    return EXIT_OK if verified == count else EXIT_FAIL
 
 
 def _cmd_cyclic_dual(args) -> int:
@@ -226,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1000, help="sample size in random mode")
     p.add_argument("--workers", type=int, default=1,
-                   help="processes for the exhaustive sweep (ignored with --budget)")
+                   help="processes for the sweep, at most the cores (ignored with --budget)")
     p.set_defaults(fn=_cmd_sharpness)
 
     p = sub.add_parser("fuzz", help="seeded random solve+verify campaign; writes"
@@ -236,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=None, help="cap the pair count below the bound")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="processes, at most the cores")
     p.set_defaults(fn=_cmd_fuzz)
 
     p = sub.add_parser("cyclic-dual", help="grid parameters for the dual of a cyclic polytope")

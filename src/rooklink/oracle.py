@@ -12,19 +12,19 @@ recursion limit.  find_infeasible_pairing is the one sweep engine: it
 feeds a stream of instances to exhaustive_solve under one node budget
 and stops at the first certified infeasible pairing.  The exhaustive
 stream holds one pairing per orbit of the board's symmetries (row and
-column permutations, and transposition on square boards), so its
-instance counts are counts of orbit representatives; the other stream
-is a seeded sample.  is_k_linked is a thin wrapper over it.  Nothing
-here imports the solver or the flow engine.
+column permutations, and transposition on square boards); the other is
+a seeded sample of random_problem draws.  judged, the one worker pool,
+streams both this sweep and the CLI's fuzz campaign.  Nothing here
+imports the solver or the flow engine.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, islice, permutations
 from math import comb, factorial, prod
+import os
 import random
 
 from .grid import ProductGraph, Vertex, flip
@@ -283,15 +283,6 @@ def _sweep_fits(grid: ProductGraph, k: int) -> bool:
                       and factorial(m) << m <= _MAX_SWEEP_TABLE)
 
 
-def _checked_grid(d1: int, d2: int, k: int) -> ProductGraph:
-    grid = ProductGraph(d1, d2)
-    if k < 0:
-        raise ProblemContractError(f"pair count must be non-negative, got {k}")
-    if 2 * k > grid.vertex_count:
-        raise ProblemContractError("not enough vertices for 2k terminals")
-    return grid
-
-
 def _row_tables(m: int):
     """Each row permutation of an m-row board, with its image of every column mask.
 
@@ -436,24 +427,26 @@ def _orbit_instances(grid: ProductGraph, k: int):
             yield LinkageProblem(grid, tuple((verts[a], verts[b]) for a, b in pairing))
 
 
-def _sampled_instances(grid: ProductGraph, k: int, seed: int, count: int):
-    """count seeded draws: a random 2k-set, then a random pairing of it."""
-    rng = random.Random(seed)
-    verts = sorted(grid.vertices())
-    for _ in range(count):
-        terminal_set = sorted(rng.sample(verts, 2 * k))
-        yield LinkageProblem(grid, tuple(random_pairing(terminal_set, rng)))
+def random_problem(grid: ProductGraph, k: int, rng: random.Random) -> LinkageProblem:
+    """k pairs on the grid: a random 2k-set of its cells, then a random pairing of it."""
+    terminals = sorted(rng.sample(sorted(grid.vertices()), 2 * k))
+    return LinkageProblem(grid, tuple(random_pairing(terminals, rng)))
 
 
-def _probe(problem: LinkageProblem) -> Verdict:
-    """Pool worker: the verdict without its witness, which need not travel."""
-    verdict = exhaustive_solve(problem)
-    return Verdict(verdict.feasible, None, verdict.nodes_explored)
+def judged(fn, source, workers: int = 1):
+    """(item, fn(item)) for each item of source, lazily and in source order;
+    with workers > 1 (capped at os.cpu_count()), a process pool runs fn,
+    a module-level function, on chunks of 64 items per worker."""
+    workers = min(workers, os.cpu_count() or 1)
+    if workers <= 1:
+        yield from ((item, fn(item)) for item in source)
+        return
+    from multiprocessing import Pool
 
-
-def _chunks(iterable, size: int):
-    it = iter(iterable)
-    return iter(lambda: list(islice(it, size)), [])
+    items = iter(source)
+    with Pool(workers) as pool:
+        while chunk := list(islice(items, 64 * workers)):
+            yield from zip(chunk, pool.map(fn, chunk))
 
 
 def find_infeasible_pairing(d1: int, d2: int, k: int,
@@ -463,77 +456,44 @@ def find_infeasible_pairing(d1: int, d2: int, k: int,
                             workers: int = 1) -> SharpnessResult:
     """Hunt for a pairing of 2k terminals that admits no linkage.
 
-    This is the one sweep engine.  Its instances are either one pairing
-    per symmetry orbit (exhaustive, _orbit_instances; the default when
-    the grid is small enough) or count seeded random pairings, and
-    instances_checked counts them: in an exhaustive sweep, orbit
-    representatives.  Each goes to exhaustive_solve, its nodes are
-    charged to node_budget (one budget for the whole sweep), and the
-    hunt stops at the first instance certified infeasible by a completed
-    search.  The result says whether the hunt itself was complete:
+    Its instances are one pairing per symmetry orbit (exhaustive; the
+    default where _sweepable) or count seeded random_problem draws, and
+    instances_checked counts them; a forced sweep too large to tabulate
+    (_sweep_fits) raises ProblemContractError.  Each instance goes to
+    exhaustive_solve under one node_budget for the whole sweep, and the
+    hunt stops at the first instance certified infeasible.
     completed=True with no find means the grid really is k-linked; an
-    exhausted budget or a random sample that came up empty proves
-    nothing.
-
-    With workers > 1 and no budget, instances are judged chunkwise by a
-    process pool and merged in instance order, so the pairing found
-    never depends on scheduling; a node budget keeps the sweep in this
-    process because budget accounting is inherently ordered.
+    exhausted budget or an empty sample proves nothing.  Without a
+    budget, judged may spread the instances over workers; a budget keeps
+    them in order, in this process.
     """
-    grid = _checked_grid(d1, d2, k)
+    grid = ProductGraph(d1, d2)
+    if k < 0:
+        raise ProblemContractError(f"pair count must be non-negative, got {k}")
+    if 2 * k > grid.vertex_count:
+        raise ProblemContractError("not enough vertices for 2k terminals")
     if k == 0:
         return SharpnessResult(None, True, 0, 0)
+    if node_budget is not None and node_budget <= 0:
+        return SharpnessResult(None, False, 0, 0)
     if exhaustive is None:
         exhaustive = _sweepable(grid, k)
     if exhaustive and not _sweep_fits(grid, k):
         raise ProblemContractError("grid too large for an exhaustive linkedness sweep")
+    rng = random.Random(seed)
     source = (_orbit_instances(grid, k) if exhaustive
-              else _sampled_instances(grid, k, seed, count))
-    parallel = workers > 1 and node_budget is None
-    if parallel:
-        from multiprocessing import Pool
-    spent = 0
-    checked = 0
-    with Pool(workers) if parallel else nullcontext() as pool:
-        for chunk in _chunks(source, 64 * workers if parallel else 1):
-            if parallel:
-                verdicts = pool.map(_probe, chunk)
-            else:
-                remaining = None if node_budget is None else node_budget - spent
-                if remaining is not None and remaining <= 0:
-                    return SharpnessResult(None, False, checked, spent)
-                verdicts = [exhaustive_solve(chunk[0], remaining)]
-            for problem, verdict in zip(chunk, verdicts):
-                spent += verdict.nodes_explored
-                checked += 1
-                if verdict.indeterminate:
-                    return SharpnessResult(None, False, checked, spent)
-                if not verdict.feasible:
-                    return SharpnessResult(problem, True, checked, spent)
+              else (random_problem(grid, k, rng) for _ in range(count)))
+    spent = checked = 0
+    if node_budget is None:
+        verdicts = judged(exhaustive_solve, source, workers)
+    else:  # each instance may spend what the ones before it left
+        verdicts = ((p, exhaustive_solve(p, node_budget - spent)) for p in source)
+    for problem, verdict in verdicts:
+        spent += verdict.nodes_explored
+        checked += 1
+        if verdict.feasible is False:
+            return SharpnessResult(problem, True, checked, spent)
+        # out of budget in this instance, or spent with an instance left
+        if verdict.indeterminate or spent == node_budget and next(source, None) is not None:
+            return SharpnessResult(None, False, checked, spent)
     return SharpnessResult(None, exhaustive, checked, spent)
-
-
-def is_k_linked(d1: int, d2: int, k: int, mode: str = "exhaustive",
-                seed: int = 0, count: int = 1000,
-                node_budget: int | None = None) -> tuple[bool, LinkageProblem | None]:
-    """Decide (exhaustively) or probe (sampled) whether the grid is k-linked.
-
-    A thin wrapper over find_infeasible_pairing.  Exhaustive mode sweeps
-    one pairing of 2k terminals per orbit of the board's symmetries,
-    which covers every pairing; it refuses grids that are too large for
-    that sweep, and a node_budget too small to finish it.  Sampled mode
-    draws seeded random instances and can only ever find
-    counterexamples, never certify linkedness.
-    node_budget bounds the nodes of the whole sweep, not of each
-    instance.
-    """
-    grid = _checked_grid(d1, d2, k)
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    exhaustive = mode == "exhaustive"
-    if exhaustive and not _sweepable(grid, k):
-        raise ValueError("grid too large for an exhaustive linkedness sweep")
-    result = find_infeasible_pairing(d1, d2, k, node_budget, seed, count, exhaustive)
-    if exhaustive and not result.completed:
-        raise ValueError("node budget too small for exhaustive mode")
-    return result.found is None, result.found

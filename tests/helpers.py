@@ -197,3 +197,30 @@ def brute_orbit_count(grid: ProductGraph, k: int) -> int:
     tables = symmetry_tables(grid)
     return len({min(pairing_images(p.pairs, grid, tables))
                 for p in corner_instances(grid, k)})
+
+
+def fake_pool(monkeypatch, cores: int) -> list[int]:
+    """Make os.cpu_count() report `cores` and swap multiprocessing.Pool for
+    an in-process stand-in, so no process starts; returns the list of the
+    pool sizes asked for, which grows as pools are made."""
+    import multiprocessing
+    import os
+
+    sizes: list[int] = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return sizes

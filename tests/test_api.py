@@ -15,7 +15,7 @@ PUBLIC = {
     "ProductGraph", "SharpnessResult", "SolverInvariantError", "SolverTrace",
     "Subgrid", "Verdict", "Vertex", "VerifyReport", "all_pairings",
     "connectivity", "cyclic_dual_params", "exhaustive_solve",
-    "find_infeasible_pairing", "flip", "is_k_linked", "max_guaranteed_pairs",
+    "find_infeasible_pairing", "flip", "max_guaranteed_pairs",
     "parse_instance", "parse_linkage", "random_pairing", "render_trace",
     "replay", "serialize_instance", "serialize_linkage", "solve", "verify",
 }

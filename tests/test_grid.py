@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rooklink import (EmptySubgridError, InvalidVertexError, ProductGraph,
-                      Subgrid, Vertex, flip)
+from rooklink import (EmptySubgridError, InvalidVertexError, ProblemContractError,
+                      ProductGraph, Subgrid, Vertex, flip)
 
 
 @st.composite
@@ -102,3 +102,8 @@ class TestProductGraph:
         g = ProductGraph(2, 3)
         row_major = [Vertex(r, c) for r in range(3) for c in range(4)]
         assert list(g.vertices()) == row_major == list(g.subgrid().vertices())
+
+    def test_dimension_sum_is_capped(self):
+        assert ProductGraph(40_000, 60_000).vertex_count == 40_001 * 60_001
+        with pytest.raises(ProblemContractError, match=r"d1 \+ d2 = 100001 > 100000"):
+            ProductGraph(1, 100_000)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import rooklink.cli
+import rooklink.oracle
+from helpers import fake_pool
 from rooklink import (InstanceFormatError, ProductGraph, SolverInvariantError,
-                      SolverTrace, Vertex, VerifyReport, parse_instance, parse_linkage,
+                      SolverTrace, Verdict, Vertex, VerifyReport, parse_instance, parse_linkage,
                       render_trace, serialize_instance, serialize_linkage)
 from rooklink.cli import main
 from rooklink.solver import TransposeStep
@@ -19,6 +22,13 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def refuse_board_tables(monkeypatch):
+    def refused(rows, cols):
+        raise AssertionError("the oracle's board table was built")
+
+    monkeypatch.setattr(rooklink.oracle, "_board", refused)
 
 
 def src_env():
@@ -88,6 +98,15 @@ class TestCliSolve:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["solve", "/nonexistent/path.txt"]) == 2
+
+    def test_impossible_board_is_refused_before_any_label(self, tmp_path, capsys, monkeypatch):
+        def refused(self):
+            raise AssertionError("the board's labels were built")
+
+        monkeypatch.setattr(ProductGraph, "subgrid", refused)
+        inst = write(tmp_path, "a.txt", "dims 100000000 3\npair 0 0 1 1\n")
+        assert main(["solve", inst]) == 2
+        assert capsys.readouterr().err == "error: board too large: d1 + d2 = 100000003 > 100000\n"
 
     def test_non_utf8_instance_is_an_input_error(self, tmp_path, capsys):
         # instances are UTF-8; a bad byte is the input's fault, not a bug
@@ -216,6 +235,21 @@ class TestCliOracle:
         assert main(["oracle", inst, "--budget", "5000"]) == 3
         assert capsys.readouterr().out == "indeterminate: node budget exhausted after 5001 nodes\n"
 
+    def test_large_board_is_refused_before_any_table_is_built(self, tmp_path, capsys,
+                                                              monkeypatch):
+        refuse_board_tables(monkeypatch)
+        inst = write(tmp_path, "a.txt", "dims 100 99\npair 0 0 100 99\n")
+        assert main(["oracle", inst]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: board too large for oracle (10100 vertices > 10000)\n"
+
+    def test_ten_thousand_vertices_pass_the_guard(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(rooklink.cli, "exhaustive_solve",
+                            lambda problem, budget: Verdict(False, None, 0))
+        inst = write(tmp_path, "a.txt", "dims 99 99\npair 0 0 99 99\n")
+        assert main(["oracle", inst]) == 1
+        assert capsys.readouterr().out == "infeasible (0 nodes)\n"
 
     def test_long_witness_needs_no_deep_recursion(self, tmp_path, capsys):
         # a single pair across a 40x40 board: the search snakes through
@@ -235,7 +269,8 @@ class TestCliConnectivity:
 
     @pytest.mark.parametrize("d1,d2,message", [
         (0, 0, "connectivity undefined on a single vertex"),
-        (-1, 2, "dimensions must be nonnegative, got (-1, 2)")])
+        (-1, 2, "dimensions must be nonnegative, got (-1, 2)"),
+        (0, 100_001, "board too large: d1 + d2 = 100001 > 100000")])
     def test_bad_board_is_an_input_error(self, capsys, d1, d2, message):
         assert main(["connectivity", str(d1), str(d2)]) == 2
         assert capsys.readouterr().err.strip() == f"error: {message}"
@@ -329,6 +364,25 @@ class TestCliSharpness:
         assert main(["sharpness", "2", "3", "--exhaustive", "--budget", "10"]) == 3
         assert "incomplete" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, n", [(["0", "20000", "--k", "1"], 20001),
+                                         (["100", "99", "--budget", "10"], 10100)])
+    def test_large_board_is_refused_before_any_table_is_built(self, capsys, monkeypatch,
+                                                              argv, n):
+        refuse_board_tables(monkeypatch)
+        assert main(["sharpness", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: board too large for sharpness ({n} vertices > 10000)\n"
+
+    @pytest.mark.parametrize("cores, sizes", [(2, [2]), (1, [])])
+    def test_workers_are_capped_at_the_cores(self, capsys, monkeypatch, cores, sizes):
+        assert main(["sharpness", "2", "4", "--k", "3"]) == 0
+        serial = capsys.readouterr().out
+        made = fake_pool(monkeypatch, cores)
+        assert main(["sharpness", "2", "4", "--k", "3", "--workers", "100000"]) == 0
+        assert capsys.readouterr().out == serial
+        assert made == sizes
+
 
 class TestCliFuzz:
     def test_all_pass(self, capsys):
@@ -388,8 +442,36 @@ class TestCliFuzz:
         assert text == serialize_instance(seen[3]) + f"# error: injected\n# {partial}\n"
         assert parse_instance(text) == seen[3]
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--count", "200", "--seed", "11"],
+         "bca9ec1f8d81eb44e616546a5ae71f645b3c173673c8a4b411d92d9744fb563a"),
+        (["--count", "300", "--seed", "3", "--d1-range", "0:9"],
+         "faf9b28cd02d44f57fae796ec482f7f2cf859de139137cc4d9d5514400bd8907"),
+    ])
+    def test_report_is_pinned(self, capsys, argv, digest):
+        assert main(["fuzz", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cores, sizes", [(2, [2]), (1, [])])
+    def test_workers_are_capped_at_the_cores(self, capsys, monkeypatch, cores, sizes):
+        main(["fuzz", "--count", "12", "--seed", "5"])
+        serial = capsys.readouterr().out
+        made = fake_pool(monkeypatch, cores)
+        assert main(["fuzz", "--count", "12", "--seed", "5", "--workers", "100000"]) == 0
+        assert capsys.readouterr().out == serial
+        assert made == sizes
+
     def test_malformed_range_exits_2(self, capsys):
         assert main(["fuzz", "--count", "1", "--d1-range", "junk"]) == 2
+
+    def test_board_past_the_cap_exits_2_before_any_draw(self, capsys, monkeypatch):
+        def refused(grid, k, rng):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(rooklink.cli, "random_problem", refused)
+        assert main(["fuzz", "--count", "5", "--d1-range", "0:50000",
+                     "--d2-range", "0:50001"]) == 2
+        assert capsys.readouterr().err == "error: board too large: d1 + d2 = 100001 > 100000\n"
 
     def test_negative_pair_cap_exits_2(self, capsys):
         assert main(["fuzz", "--count", "1", "--k", "-1"]) == 2

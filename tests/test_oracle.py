@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rooklink.oracle
-from helpers import (brute_orbit_count, corner_instances, pairing_images,
-                     symmetry_tables)
+from rooklink.oracle import judged
+from helpers import (brute_orbit_count, corner_instances, fake_pool,
+                     pairing_images, symmetry_tables)
 from rooklink import (Linkage, LinkageProblem, ProductGraph, Subgrid, Vertex,
                       all_pairings, exhaustive_solve, find_infeasible_pairing,
-                      is_k_linked, random_pairing, verify)
+                      random_pairing, verify)
 
 V = Vertex
 
@@ -182,35 +183,29 @@ class TestExhaustiveSolve:
 
 class TestLinkedness:
     def test_four_cycle_is_one_linked(self):
-        assert is_k_linked(1, 1, 1) == (True, None)
+        res = find_infeasible_pairing(1, 1, 1, exhaustive=True)
+        assert res.found is None and res.completed
 
     def test_three_by_three_is_two_linked(self):
-        ok, cex = is_k_linked(2, 2, 2)
-        assert ok and cex is None
+        res = find_infeasible_pairing(2, 2, 2, exhaustive=True)
+        assert res.found is None and res.completed
 
     def test_two_by_three_is_not_two_linked(self):
-        ok, cex = is_k_linked(1, 2, 2)
-        assert not ok
-        assert cex is not None
-        assert exhaustive_solve(cex).feasible is False
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            is_k_linked(3, 6, 5)
+        res = find_infeasible_pairing(1, 2, 2, exhaustive=True)
+        assert res.found is not None and res.completed
+        assert exhaustive_solve(res.found).feasible is False
 
     @pytest.mark.parametrize("d1,d2,k", [(9, 9, 4), (5, 7, 4), (2, 9, 5)])
     def test_large_board_is_refused_before_any_table_is_built(self, monkeypatch,
                                                               d1, d2, k):
         # each orbit bound is below 5,000, but the sweep would build
         # _row_tables(8) for the 8 x 8 cut of (9,9), and the orbits of the
-        # other two take minutes to hours of search
+        # other two take minutes to hours of search, so the default mode
+        # samples instead (a node budget keeps it short)
         def refuse(m):
             raise AssertionError(f"_row_tables({m}) built")
 
         monkeypatch.setattr(rooklink.oracle, "_row_tables", refuse)
-        with pytest.raises(ValueError, match="too large"):
-            is_k_linked(d1, d2, k)
-        # the default mode samples instead (a node budget keeps it short)
         res = find_infeasible_pairing(d1, d2, k, node_budget=2000)
         assert not res.completed and res.found is None
 
@@ -237,12 +232,13 @@ class TestLinkedness:
         assert not res.completed and res.instances_checked == 3
 
     def test_sampled_mode_finds_the_easy_counterexample(self):
-        ok, cex = is_k_linked(1, 2, 2, mode="sampled", seed=3, count=200)
-        assert not ok and cex is not None
+        res = find_infeasible_pairing(1, 2, 2, exhaustive=False, seed=3, count=200)
+        assert res.found is not None and res.completed
 
     def test_sampled_mode_on_linked_grid(self):
-        ok, cex = is_k_linked(2, 2, 2, mode="sampled", seed=3, count=50)
-        assert ok and cex is None
+        # a sample that comes up empty proves nothing
+        res = find_infeasible_pairing(2, 2, 2, exhaustive=False, seed=3, count=50)
+        assert res.found is None and not res.completed
 
 
 class TestSharpness:
@@ -267,6 +263,24 @@ class TestSharpness:
         res = find_infeasible_pairing(1, 2, 2, exhaustive=False, seed=4, count=300)
         assert res.found is not None and res.completed
         assert exhaustive_solve(res.found).feasible is False
+        # the seeded draws, and so the find and its counts, are pinned
+        assert res.found.pairs == (((0, 1), (1, 2)), ((0, 2), (1, 1)))
+        assert (res.instances_checked, res.nodes_explored) == (5, 26)
+
+    @pytest.mark.parametrize("d1,d2,k,budget,outcome", [
+        (2, 3, 3, 17, (False, 2, 17)),
+        (2, 3, 3, 6, (False, 1, 6)),
+        (2, 3, 3, 0, (False, 0, 0)),
+        (1, 1, 1, 7, (True, 2, 7)),
+        (1, 1, 1, 6, (False, 2, 7)),
+    ])
+    def test_budget_boundary_is_pinned(self, d1, d2, k, budget, outcome):
+        # a budget spent to the last node stops the sweep before the next
+        # instance, uncounted, unless no instance is left: then the sweep
+        # is complete; an instance that runs out is counted, one node over
+        res = find_infeasible_pairing(d1, d2, k, node_budget=budget)
+        assert res.found is None
+        assert (res.completed, res.instances_checked, res.nodes_explored) == outcome
 
     @pytest.mark.parametrize("d1,d2,k", [(1, 2, 2), (2, 2, 2), (2, 4, 3)])
     def test_pool_matches_sequential(self, d1, d2, k):
@@ -299,19 +313,35 @@ class TestSharpness:
         assert len(calls) == res.instances_checked == 5
 
     def test_zero_pairs_is_trivially_linked(self):
-        assert is_k_linked(2, 2, 0) == (True, None)
-        res = find_infeasible_pairing(2, 2, 0)
-        assert res.found is None and res.completed
+        for exhaustive in (None, True, False):
+            res = find_infeasible_pairing(2, 2, 0, exhaustive=exhaustive)
+            assert res.found is None and res.completed
 
     def test_negative_pair_count_is_rejected(self):
-        with pytest.raises(ValueError, match="pair count must be non-negative"):
-            find_infeasible_pairing(2, 2, -1)
-        with pytest.raises(ValueError, match="pair count must be non-negative"):
-            is_k_linked(2, 2, -1)
+        for exhaustive in (None, True, False):
+            with pytest.raises(ValueError, match="pair count must be non-negative"):
+                find_infeasible_pairing(2, 2, -1, exhaustive=exhaustive)
 
     def test_random_pairing_rejects_odd_input(self):
         with pytest.raises(ValueError):
             random_pairing([1, 2, 3], random.Random(0))
+
+
+class TestJudged:
+    def test_serial_is_lazy(self):
+        items = judged(lambda x: x * x, itertools.count(), 1)
+        assert list(itertools.islice(items, 3)) == [(0, 0), (1, 1), (2, 4)]
+
+    def test_pool_is_capped_at_the_cores_and_streams_in_order(self, monkeypatch):
+        sizes = fake_pool(monkeypatch, cores=2)
+        items = judged(abs, itertools.count(-1000), 100_000)
+        assert list(itertools.islice(items, 300)) == [(x, -x) for x in range(-1000, -700)]
+        assert sizes == [2]
+
+    def test_one_core_runs_serially(self, monkeypatch):
+        sizes = fake_pool(monkeypatch, cores=1)
+        assert list(judged(abs, [-2, 3], 8)) == [(-2, 2), (3, 3)]
+        assert sizes == []
 
 
 def _agreement_boards():
