@@ -5,13 +5,13 @@ cyclic-dual.  Exit codes are stable across commands: 0 success/pass;
 1 verification failure or infeasible (fuzz: some instance failed to
 solve or verify; the campaign still runs to the end); 2 input error
 (InstanceFormatError or ProblemContractError, such as a board with
-d1 + d2 > MAX_DIMENSION_SUM); 3 indeterminate (a node budget ran out,
-oracle's defaulting to ORACLE_NODE_BUDGET, or a board past a size guard,
-checked before any table is built: CONNECTIVITY_MAX_VERTICES, or
-ORACLE_MAX_VERTICES for oracle and sharpness); 4 internal error (a
-SolverInvariantError or a solved linkage failing verify, either reported
-with the solver's trace, or any other ValueError: a bug either way); 141
-when stdout's reader closed the pipe early (as if killed by SIGPIPE).
+d1 + d2 > MAX_DIMENSION_SUM or a negative --k, --count or --budget);
+3 indeterminate (a node budget ran out, ORACLE_NODE_BUDGET by default,
+or a board past its command's size guard in MAX_VERTICES, checked
+before any table is built); 4 internal error (a SolverInvariantError
+or a solved linkage failing verify, either reported with the solver's
+trace, or any other ValueError: a bug either way); 141 when stdout's
+reader closed the pipe early (as if killed by SIGPIPE).
 Randomised commands are reproducible from their seed, and --workers is
 capped at the machine's cores; timing goes to stderr, so stdout stays
 byte-identical across runs and worker counts.
@@ -39,9 +39,17 @@ EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1`
-CONNECTIVITY_MAX_VERTICES = 400  # connectivity costs about (d1 + d2)^4.5
-ORACLE_MAX_VERTICES = 10_000  # the oracle's board table: 30-44 MB at 100 x 100
-ORACLE_NODE_BUDGET = 10_000_000  # oracle's default; 15-20 s on a 2-vCPU Xeon VM
+ORACLE_NODE_BUDGET = 10_000_000  # oracle's and sharpness's default; 15-20 s on a 2-vCPU Xeon VM
+MAX_VERTICES = {"connectivity": 400,  # connectivity costs about (d1 + d2)^4.5
+                "oracle": 10_000,  # the oracle's board table: 30-44 MB at 100 x 100
+                "sharpness": 10_000}  # the same table, shared by the hunt's instances
+
+
+def _refuse(command: str, n: int) -> int:
+    """A board past its command's size guard: say so, and exit indeterminate."""
+    print(f"error: board too large for {command} ({n} vertices > {MAX_VERTICES[command]})",
+          file=sys.stderr)
+    return EXIT_INDETERMINATE
 
 
 def _read(path: str) -> str:
@@ -78,17 +86,11 @@ def _cmd_verify(args) -> int:
     return EXIT_FAIL
 
 
-def _refuse(command: str, n: int, cap: int) -> int:
-    """A board past a command's size guard: say so, and exit indeterminate."""
-    print(f"error: board too large for {command} ({n} vertices > {cap})", file=sys.stderr)
-    return EXIT_INDETERMINATE
-
-
 def _cmd_oracle(args) -> int:
     problem = parse_instance(_read(args.instance))
     n = problem.subgrid.vertex_count
-    if n > ORACLE_MAX_VERTICES:
-        return _refuse("oracle", n, ORACLE_MAX_VERTICES)
+    if n > MAX_VERTICES["oracle"]:
+        return _refuse("oracle", n)
     verdict = exhaustive_solve(problem, args.budget)
     if verdict.indeterminate:
         print(f"indeterminate: node budget exhausted after {verdict.nodes_explored} nodes")
@@ -104,16 +106,16 @@ def _cmd_oracle(args) -> int:
 def _cmd_connectivity(args) -> int:
     grid = ProductGraph(args.d1, args.d2)
     n = grid.vertex_count
-    if grid.d1 and grid.d2 and n > CONNECTIVITY_MAX_VERTICES:  # cliques need no flow
-        return _refuse("connectivity", n, CONNECTIVITY_MAX_VERTICES)
+    if grid.d1 and grid.d2 and n > MAX_VERTICES["connectivity"]:  # cliques need no flow
+        return _refuse("connectivity", n)
     print(connectivity(grid.subgrid()))
     return EXIT_OK
 
 
 def _cmd_sharpness(args) -> int:
     n = ProductGraph(args.d1, args.d2).vertex_count
-    if n > ORACLE_MAX_VERTICES:
-        return _refuse("sharpness", n, ORACLE_MAX_VERTICES)
+    if n > MAX_VERTICES["sharpness"]:
+        return _refuse("sharpness", n)
     k = args.k if args.k is not None else max_guaranteed_pairs(args.d1, args.d2) + 1
     result = find_infeasible_pairing(
         args.d1, args.d2, k,
@@ -152,13 +154,10 @@ def _cmd_fuzz(args) -> int:
     if not (0 <= lo1 <= hi1 and 0 <= lo2 <= hi2):
         raise InstanceFormatError("ranges must satisfy 0 <= MIN <= MAX")
     ProductGraph(hi1, hi2)  # the largest board is refused before any instance runs
-    if args.k is not None and args.k < 0:
-        raise ProblemContractError(f"pair count must be non-negative, got {args.k}")
-    count = max(args.count, 0)
     rng = random.Random(args.seed)
 
     def problems():
-        for _ in range(count):
+        for _ in range(args.count):
             grid = ProductGraph(rng.randint(lo1, hi1), rng.randint(lo2, hi2))
             k = max_guaranteed_pairs(grid.d1, grid.d2)
             yield random_problem(grid, k if args.k is None else min(k, args.k), rng)
@@ -181,12 +180,12 @@ def _cmd_fuzz(args) -> int:
     print(f"seed={args.seed}")
     print(f"d1-range={lo1}:{hi1}")
     print(f"d2-range={lo2}:{hi2}")
-    print(f"instances={count}")
+    print(f"instances={args.count}")
     print(f"solver-successes={solved}")
     print(f"verifier-passes={verified}")
     print(f"max-trace-depth={max_depth}")
     print(f"elapsed={elapsed:.2f}s", file=sys.stderr)
-    return EXIT_OK if verified == count else EXIT_FAIL
+    return EXIT_OK if verified == args.count else EXIT_FAIL
 
 
 def _cmd_cyclic_dual(args) -> int:
@@ -228,11 +227,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None,
                    help="pair count (default: one above the guaranteed bound)")
     p.add_argument("--exhaustive", action="store_true", help="force the full sweep")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=ORACLE_NODE_BUDGET,
+                   help="search node budget for the whole hunt (default %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1000, help="sample size in random mode")
     p.add_argument("--workers", type=int, default=1,
-                   help="processes for the sweep, at most the cores (ignored with --budget)")
+                   help="processes for the hunt, at most the cores")
     p.set_defaults(fn=_cmd_sharpness)
 
     p = sub.add_parser("fuzz", help="seeded random solve+verify campaign; writes"
@@ -255,6 +255,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # the one check of every count option: none may be negative
+        for option, what in (("k", "pair count"), ("count", "count"), ("budget", "node budget")):
+            value = getattr(args, option, None)
+            if value is not None and value < 0:
+                raise ProblemContractError(f"{what} must be non-negative, got {value}")
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code

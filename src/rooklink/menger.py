@@ -35,17 +35,10 @@ class _FlowNet:
         self.verts = verts
         n_verts = len(verts)
         vid = {v: 2 + 2 * i for i, v in enumerate(verts)}
-        self.vid = vid
         nxt = 2 + 2 * n_verts
-        row_hub = {}
-        for r in s.rows:
-            row_hub[r] = nxt
-            nxt += 1
-        col_hub = {}
-        for c in s.cols:
-            col_hub[c] = nxt
-            nxt += 1
-        self.n = nxt
+        row_hub = {r: nxt + i for i, r in enumerate(s.rows)}
+        col_hub = {c: nxt + len(s.rows) + i for i, c in enumerate(s.cols)}
+        nxt += len(s.rows) + len(s.cols)
         to: list[int] = []
         adj: list[list[int]] = [[] for _ in range(nxt)]
         app = to.append

@@ -250,37 +250,33 @@ def _sweep_board(grid: ProductGraph, k: int) -> tuple[int, int, bool]:
     return min(m, 2 * k), min(n, 2 * k), m == n
 
 
-def _sweepable(grid: ProductGraph, k: int) -> bool:
-    """Whether the exhaustive sweep for k pairs is small enough to run.
-
-    On the board of _sweep_board, the Burnside lower bound on the orbits
-    (all pairings over the group order m! n!, times 2 if square) and the
-    (2k - 1)!! pairings walked per pattern (one pattern but a huge group
-    on one row) are at most _MAX_SWEEP_ORBITS.  Beyond three pairs an
-    orbit's search grows steeply with the grid (some on 6 x 8 take
-    millions of nodes), so those need at most 20 vertices.  This keeps
-    _row_tables (m! 2^m entries) at six rows.  A one-row board is one
-    orbit, which _orbit_instances yields without walking any pairing.
+def _sweep_mode(grid: ProductGraph, k: int) -> str:
+    """One estimate on the board of _sweep_board: "refuse" if a table
+    passes _MAX_SWEEP_TABLE entries (the (2k - 1)!! pairing flags of
+    _orbit_instances or the m! 2^m of _row_tables, m <= 2k; both do
+    before k is 12, so no big product is formed); else "sweep", the
+    default, if the Burnside lower bound on the orbits (all pairings over
+    the group order m! n!, times 2 if square) and the pairings walked per
+    pattern (one pattern but a huge group on one row) are at most
+    _MAX_SWEEP_ORBITS and, beyond three pairs, the grid has at most 20
+    vertices (an orbit's search grows steeply with the grid: some on
+    6 x 8 take millions of nodes); else "forced", run only when asked
+    for.  One row is one orbit, which _orbit_instances yields untabled.
     """
     m, n, square = _sweep_board(grid, k)
     if m == 1:
-        return True
+        return "sweep"
+    if k >= 12:
+        return "refuse"
     walk = prod(range(1, 2 * k, 2))
+    if max(walk, factorial(m) << m) > _MAX_SWEEP_TABLE:
+        return "refuse"
     group = factorial(m) * factorial(n) * (2 if square else 1)
-    return ((k <= 3 or grid.vertex_count <= _MAX_SEARCH_VERTICES)
+    if ((k <= 3 or grid.vertex_count <= _MAX_SEARCH_VERTICES)
             and walk <= _MAX_SWEEP_ORBITS
-            and comb(m * n, 2 * k) * walk <= _MAX_SWEEP_ORBITS * group)
-
-
-def _sweep_fits(grid: ProductGraph, k: int) -> bool:
-    """Whether a sweep's two tables fit: the (2k - 1)!! pairing flags of
-    _orbit_instances and the m! 2^m entries of _row_tables, each at most
-    _MAX_SWEEP_TABLE.  Both pass it before k or m reaches 12, so the
-    big products are never formed.  A one-row board takes no flags and
-    two row-table entries."""
-    m = _sweep_board(grid, k)[0]
-    return m == 1 or (k < 12 and m < 12 and prod(range(1, 2 * k, 2)) <= _MAX_SWEEP_TABLE
-                      and factorial(m) << m <= _MAX_SWEEP_TABLE)
+            and comb(m * n, 2 * k) * walk <= _MAX_SWEEP_ORBITS * group):
+        return "sweep"
+    return "forced"
 
 
 def _row_tables(m: int):
@@ -449,6 +445,11 @@ def judged(fn, source, workers: int = 1):
             yield from zip(chunk, pool.map(fn, chunk))
 
 
+def _judge(job) -> Verdict:
+    """exhaustive_solve(*job), through the module global so a wrapper sees it."""
+    return exhaustive_solve(*job)
+
+
 def find_infeasible_pairing(d1: int, d2: int, k: int,
                             node_budget: int | None = None,
                             seed: int = 0, count: int = 1000,
@@ -457,15 +458,15 @@ def find_infeasible_pairing(d1: int, d2: int, k: int,
     """Hunt for a pairing of 2k terminals that admits no linkage.
 
     Its instances are one pairing per symmetry orbit (exhaustive; the
-    default where _sweepable) or count seeded random_problem draws, and
-    instances_checked counts them; a forced sweep too large to tabulate
-    (_sweep_fits) raises ProblemContractError.  Each instance goes to
-    exhaustive_solve under one node_budget for the whole sweep, and the
-    hunt stops at the first instance certified infeasible.
-    completed=True with no find means the grid really is k-linked; an
-    exhausted budget or an empty sample proves nothing.  Without a
-    budget, judged may spread the instances over workers; a budget keeps
-    them in order, in this process.
+    default where _sweep_mode says "sweep") or count seeded
+    random_problem draws, and instances_checked counts them; a forced
+    sweep that _sweep_mode refuses raises ProblemContractError.  judged
+    sends each instance, over `workers` processes, to exhaustive_solve
+    under one node_budget for the whole hunt, and the hunt stops at the
+    first instance certified infeasible.  completed=True with no find
+    means the grid really is k-linked; an exhausted budget or an empty
+    sample proves nothing.  Each instance is charged only what the ones
+    before it left, so the result never depends on the worker count.
     """
     grid = ProductGraph(d1, d2)
     if k < 0:
@@ -474,26 +475,27 @@ def find_infeasible_pairing(d1: int, d2: int, k: int,
         raise ProblemContractError("not enough vertices for 2k terminals")
     if k == 0:
         return SharpnessResult(None, True, 0, 0)
-    if node_budget is not None and node_budget <= 0:
-        return SharpnessResult(None, False, 0, 0)
+    mode = _sweep_mode(grid, k)
     if exhaustive is None:
-        exhaustive = _sweepable(grid, k)
-    if exhaustive and not _sweep_fits(grid, k):
+        exhaustive = mode == "sweep"
+    if exhaustive and mode == "refuse":
         raise ProblemContractError("grid too large for an exhaustive linkedness sweep")
     rng = random.Random(seed)
     source = (_orbit_instances(grid, k) if exhaustive
               else (random_problem(grid, k, rng) for _ in range(count)))
     spent = checked = 0
-    if node_budget is None:
-        verdicts = judged(exhaustive_solve, source, workers)
-    else:  # each instance may spend what the ones before it left
-        verdicts = ((p, exhaustive_solve(p, node_budget - spent)) for p in source)
-    for problem, verdict in verdicts:
+    # each instance may spend the budget left when it is pulled: in order,
+    # its true share; in a pooled chunk, at least that share
+    jobs = ((p, None if node_budget is None else node_budget - spent) for p in source)
+    for (problem, _), verdict in judged(_judge, jobs, workers):
+        if node_budget is not None:
+            if spent >= node_budget:  # spent, with an instance left
+                return SharpnessResult(None, False, checked, spent)
+            if verdict.nodes_explored > node_budget - spent:
+                # past its share: held to it, the search stops one node over
+                return SharpnessResult(None, False, checked + 1, node_budget + 1)
         spent += verdict.nodes_explored
         checked += 1
         if verdict.feasible is False:
             return SharpnessResult(problem, True, checked, spent)
-        # out of budget in this instance, or spent with an instance left
-        if verdict.indeterminate or spent == node_budget and next(source, None) is not None:
-            return SharpnessResult(None, False, checked, spent)
     return SharpnessResult(None, exhaustive, checked, spent)

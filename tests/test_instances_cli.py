@@ -224,6 +224,11 @@ class TestCliOracle:
         assert main(["oracle", inst, "--budget", "2"]) == 3
         assert "indeterminate" in capsys.readouterr().out
 
+    def test_negative_budget_exits_2(self, tmp_path, capsys):
+        inst = write(tmp_path, "a.txt", "dims 1 1\npair 0 0 1 1\n")
+        assert main(["oracle", inst, "--budget", "-1"]) == 2
+        assert capsys.readouterr().err == "error: node budget must be non-negative, got -1\n"
+
     def test_default_budget_ends_a_long_search_in_exit_3(self, tmp_path, capsys, monkeypatch):
         # three pairs on a 10x10 board that the search leaves unsettled
         # after 20M nodes; with no --budget the default budget ends it,
@@ -383,6 +388,39 @@ class TestCliSharpness:
         assert capsys.readouterr().out == serial
         assert made == sizes
 
+    def test_budget_and_workers_compose(self, capsys, monkeypatch):
+        # a budgeted hunt runs in the pool and prints the serial stdout,
+        # pinned where --budget kept the hunt in this process
+        pinned = ("grid 2 4, 3 pairs, 97 pairings checked, 2001 nodes\n"
+                  "none found: search incomplete (budget or sample exhausted)\n")
+        argv = ["sharpness", "2", "4", "--k", "3", "--budget", "2000"]
+        assert main(argv) == 3
+        assert capsys.readouterr().out == pinned
+        made = fake_pool(monkeypatch, 2)
+        assert main([*argv, "--workers", "2"]) == 3
+        assert capsys.readouterr().out == pinned
+        assert made == [2]
+
+    def test_default_budget_ends_a_long_hunt_in_exit_3(self, capsys, monkeypatch):
+        # the 3,595-node sweep runs past a small default budget, which
+        # --budget still overrides
+        monkeypatch.setattr(rooklink.cli, "ORACLE_NODE_BUDGET", 1000)
+        assert main(["sharpness", "2", "4", "--k", "3"]) == 3
+        assert "none found: search incomplete" in capsys.readouterr().out
+        assert main(["sharpness", "2", "4", "--k", "3", "--budget", "3595"]) == 0
+        assert "none found: every pairing is feasible" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sharpness", "1", "2", "--count", "-1"], "count must be non-negative, got -1"),
+        (["sharpness", "2", "2", "--budget", "-1"], "node budget must be non-negative, got -1"),
+        (["fuzz", "--count", "-5"], "count must be non-negative, got -5"),
+    ])
+    def test_negative_count_or_budget_exits_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestCliFuzz:
     def test_all_pass(self, capsys):
@@ -495,3 +533,12 @@ class TestCliCyclicDual:
                               capture_output=True, text=True, env=src_env(), timeout=60)
         assert proc.returncode == 0
         assert proc.stdout == capsys.readouterr().out
+
+
+def test_readme_states_the_limits():
+    # each size guard and the default node budget, as the README writes them
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    prose = " ".join(readme.split())
+    for cap in rooklink.cli.MAX_VERTICES.values():
+        assert f"more than {cap:,} cells" in prose
+    assert f"stop after {rooklink.cli.ORACLE_NODE_BUDGET:,} search nodes" in prose

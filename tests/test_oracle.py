@@ -300,6 +300,49 @@ class TestSharpness:
         assert (res.instances_checked, res.nodes_explored) == (checked, nodes)
         assert res.found.pairs == pairing
 
+    @pytest.mark.parametrize("args, kw, outcomes", [
+        # sweep mode: a find at 214 nodes, and a complete 182-orbit sweep
+        ((2, 3, 3), {}, {0: (False, 0, 0), 1: (False, 1, 2), 213: (False, 5, 214),
+                         214: (True, 5, 214), 215: (True, 5, 214)}),
+        ((2, 4, 3), {}, {0: (False, 0, 0), 1: (False, 1, 2), 3594: (False, 182, 3595),
+                         3595: (True, 182, 3595), 3596: (True, 182, 3595)}),
+        # sample mode: a find at 26 nodes, and 200 draws with none
+        ((1, 2, 2), dict(exhaustive=False, seed=4, count=300),
+         {0: (False, 0, 0), 1: (False, 1, 2), 25: (False, 5, 26),
+          26: (True, 5, 26), 27: (True, 5, 26)}),
+        ((2, 2, 2), dict(exhaustive=False, seed=3, count=200),
+         {0: (False, 0, 0), 1: (False, 1, 2), 1754: (False, 200, 1755),
+          1755: (False, 200, 1755), 1756: (False, 200, 1755)}),
+    ])
+    def test_budget_boundaries_do_not_depend_on_the_pool(self, monkeypatch, args, kw,
+                                                         outcomes):
+        # (completed, checked, nodes) at budgets 0, 1 and total - 1 .. total + 1,
+        # pinned where a budget ran the hunt in order in this process; a
+        # pooled chunk is handed more budget than its later instances' shares
+        full = find_infeasible_pairing(*args, **kw)
+        serial = {budget: find_infeasible_pairing(*args, node_budget=budget, **kw)
+                  for budget in outcomes}
+        sizes = fake_pool(monkeypatch, cores=2)
+        for budget, outcome in outcomes.items():
+            res = serial[budget]
+            assert (res.completed, res.instances_checked, res.nodes_explored) == outcome
+            assert res == full if budget >= full.nodes_explored else res.found is None
+            assert find_infeasible_pairing(*args, node_budget=budget, workers=2, **kw) == res
+        assert sizes == [2] * len(outcomes)
+
+    def test_sweep_decisions_are_pinned(self):
+        # sweep by default, only when forced, or refused, for every
+        # (d1, d2, k) with d1, d2 < 16 and 1 <= k <= 16 that fits 2k
+        # terminals; the digest was recorded from the two rules it replaced
+        lines = []
+        for d1, d2 in itertools.product(range(16), repeat=2):
+            grid = ProductGraph(d1, d2)
+            for k in range(1, min(16, grid.vertex_count // 2) + 1):
+                lines.append(f"{d1} {d2} {k} {rooklink.oracle._sweep_mode(grid, k)}\n")
+        assert len(lines) == 3402
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+            "8dc127fdeb5af076b76d1249d061e8db26e5e9a91389aa21c8b9692ce2abd027")
+
     def test_sweep_calls_the_module_global(self, monkeypatch):
         calls = []
         solve = rooklink.oracle.exhaustive_solve
