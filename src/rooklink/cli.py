@@ -8,9 +8,9 @@ solve or verify; the campaign still runs to the end); 2 input error
 d1 + d2 > MAX_DIMENSION_SUM or a negative --k, --count or --budget);
 3 indeterminate (a node budget ran out, ORACLE_NODE_BUDGET by default,
 or a board past its command's size guard in MAX_VERTICES, checked
-before any table is built); 4 internal error (a SolverInvariantError
-or a solved linkage failing verify, either reported with the solver's
-trace, or any other ValueError: a bug either way); 141 when stdout's
+before any table is built); 4 internal error (a SolverInvariantError,
+such as a linkage that fails _verified, the gate every emitted linkage
+passes, or any other ValueError: a bug either way); 141 when stdout's
 reader closed the pipe early (as if killed by SIGPIPE).
 Randomised commands are reproducible from their seed, and --workers is
 capped at the machine's cores; timing goes to stderr, so stdout stays
@@ -62,13 +62,17 @@ def _read(path: str) -> str:
         raise InstanceFormatError(f"{path} is not UTF-8: {err.reason} at byte {err.start}") from None
 
 
+def _verified(problem: LinkageProblem, linkage: Linkage, what: str, trace=None) -> None:
+    """The gate before any linkage is emitted: SolverInvariantError unless verify passes it."""
+    report = verify(problem, linkage)
+    if not report.ok:
+        raise SolverInvariantError(f"{what} fails verify: {report.reason}", trace)
+
+
 def _cmd_solve(args) -> int:
     problem = parse_instance(_read(args.instance))
     linkage, trace = solve(problem)
-    # nothing is printed that the independent verifier has not passed
-    report = verify(problem, linkage)
-    if not report.ok:
-        raise SolverInvariantError(f"solver output fails verify: {report.reason}", trace)
+    _verified(problem, linkage, "solver output", trace)
     sys.stdout.write(serialize_linkage(linkage.paths))
     if args.trace:
         print(render_trace(trace))
@@ -96,6 +100,7 @@ def _cmd_oracle(args) -> int:
         print(f"indeterminate: node budget exhausted after {verdict.nodes_explored} nodes")
         return EXIT_INDETERMINATE
     if verdict.feasible:
+        _verified(problem, verdict.witness, "oracle witness")
         print(f"feasible ({verdict.nodes_explored} nodes)")
         sys.stdout.write(serialize_linkage(verdict.witness.paths))
         return EXIT_OK
@@ -135,14 +140,14 @@ def _cmd_sharpness(args) -> int:
 
 
 def _fuzz_one(problem: LinkageProblem):
-    """(verified, trace depth, None), or (False, 0, report) when the solver
-    fails; the report holds the error and the partial trace as comments."""
+    """(trace depth, None) for a verified linkage, else (0, the error and trace as comments)."""
     try:
         linkage, trace = solve(problem)
+        _verified(problem, linkage, "solver output", trace)
     except SolverInvariantError as err:
         lines = [f"error: {err}"] + render_trace(err.trace).splitlines()
-        return False, 0, "".join(f"# {line}\n" for line in lines)
-    return verify(problem, linkage).ok, trace.depth, None
+        return 0, "".join(f"# {line}\n" for line in lines)
+    return trace.depth, None
 
 
 def _cmd_fuzz(args) -> int:
@@ -162,12 +167,11 @@ def _cmd_fuzz(args) -> int:
             k = max_guaranteed_pairs(grid.d1, grid.d2)
             yield random_problem(grid, k if args.k is None else min(k, args.k), rng)
 
-    solved = verified = max_depth = 0
+    passed = max_depth = 0
     started = time.perf_counter()
     outcomes = judged(_fuzz_one, problems(), args.workers)
-    for i, (problem, (ok, depth, failure)) in enumerate(outcomes):
-        solved += failure is None
-        verified += ok
+    for i, (problem, (depth, failure)) in enumerate(outcomes):
+        passed += failure is None
         max_depth = max(max_depth, depth)
         if failure is not None:
             # an instance file that `rooklink solve` reads back as it is
@@ -181,11 +185,11 @@ def _cmd_fuzz(args) -> int:
     print(f"d1-range={lo1}:{hi1}")
     print(f"d2-range={lo2}:{hi2}")
     print(f"instances={args.count}")
-    print(f"solver-successes={solved}")
-    print(f"verifier-passes={verified}")
+    print(f"solver-successes={passed}")
+    print(f"verifier-passes={passed}")
     print(f"max-trace-depth={max_depth}")
     print(f"elapsed={elapsed:.2f}s", file=sys.stderr)
-    return EXIT_OK if verified == args.count else EXIT_FAIL
+    return EXIT_OK if passed == args.count else EXIT_FAIL
 
 
 def _cmd_cyclic_dual(args) -> int:
@@ -236,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sharpness)
 
     p = sub.add_parser("fuzz", help="seeded random solve+verify campaign; writes"
-                       " fail-SEED-I.txt for each instance I the solver fails on")
+                       " fail-SEED-I.txt for each instance I that fails solve or verify")
     p.add_argument("--d1-range", default="2:6")
     p.add_argument("--d2-range", default="2:6")
     p.add_argument("--count", type=int, default=100)

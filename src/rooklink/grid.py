@@ -135,11 +135,6 @@ class Subgrid:
             for c in self.cols:
                 yield Vertex(r, c)
 
-    def adjacent(self, u: Vertex, v: Vertex) -> bool:
-        self.require(u)
-        self.require(v)
-        return u != v and (u[0] == v[0] or u[1] == v[1])
-
     def neighbors(self, v: Vertex) -> set[Vertex]:
         """All active vertices adjacent to v; there are (rows-1)+(cols-1) of them."""
         self.require(v)

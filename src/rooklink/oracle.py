@@ -424,9 +424,10 @@ def _orbit_instances(grid: ProductGraph, k: int):
 
 
 def random_problem(grid: ProductGraph, k: int, rng: random.Random) -> LinkageProblem:
-    """k pairs on the grid: a random 2k-set of its cells, then a random pairing of it."""
-    terminals = sorted(rng.sample(sorted(grid.vertices()), 2 * k))
-    return LinkageProblem(grid, tuple(random_pairing(terminals, rng)))
+    """k pairs on the grid: a random 2k-set of its cells, drawn by row-major
+    number so that no cell list is built, then a random pairing of it."""
+    cells = sorted(rng.sample(range(grid.vertex_count), 2 * k))
+    return LinkageProblem(grid, random_pairing([divmod(i, grid.n_cols) for i in cells], rng))
 
 
 def judged(fn, source, workers: int = 1):

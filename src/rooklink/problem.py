@@ -16,7 +16,7 @@ from .grid import ProblemContractError, ProductGraph, Subgrid, Vertex
 
 
 def max_guaranteed_pairs(d1: int, d2: int) -> int:
-    """Largest k for which every pairing of 2k terminals is routable."""
+    """The paper's bound: every pairing of this many pairs links (a clique may link more)."""
     return (d1 + d2) // 2
 
 

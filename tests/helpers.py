@@ -138,7 +138,7 @@ def check_ab_system(sub: Subgrid, paths, a_set, b_set, forbidden=()):
             assert v not in seen, f"{v} on two paths"
             seen.add(v)
         for u, v in zip(path, path[1:]):
-            assert sub.adjacent(u, v), f"non-edge {u} -> {v}"
+            assert v in sub.neighbors(u), f"non-edge {u} -> {v}"
         for v in path[1:]:
             assert v not in aset, f"path meets A at interior vertex {v}"
         for v in path[:-1]:

@@ -3,8 +3,9 @@
 Routing pieces the solver and the Menger engine use internally, and
 that only tests call (drain_block, bridge_path, disjoint_paths), stay in
 their modules; this pin keeps them from drifting back into the API.
-The board's queries live on Subgrid alone, and ProductGraph's members
-are pinned so that a second copy of them cannot drift back either.
+The board's queries live on Subgrid alone, and both classes' members
+are pinned so that a second copy of a query, or a query that only
+tests call, cannot drift back either.
 """
 
 import rooklink
@@ -32,6 +33,16 @@ PRODUCT_GRAPH = {"d1", "d2", "n_rows", "n_cols", "vertex_count", "vertices", "su
 def test_product_graph_members_are_pinned():
     members = {name for name in dir(rooklink.ProductGraph(2, 3)) if not name.startswith("_")}
     assert members == PRODUCT_GRAPH
+
+
+SUBGRID = {"base", "rows", "cols", "n_rows", "n_cols", "vertex_count", "contains", "require",
+           "vertices", "neighbors"}
+
+
+def test_subgrid_members_are_pinned():
+    members = {name for name in dir(rooklink.ProductGraph(2, 3).subgrid())
+               if not name.startswith("_")}
+    assert members == SUBGRID
 
 
 def test_every_exported_name_resolves():

@@ -256,6 +256,16 @@ class TestCliOracle:
         assert main(["oracle", inst]) == 1
         assert capsys.readouterr().out == "infeasible (0 nodes)\n"
 
+    def test_witness_failing_verify_is_not_printed(self, tmp_path, capsys, monkeypatch):
+        # the oracle's witness passes the same gate as the solver's output
+        monkeypatch.setattr(rooklink.cli, "verify",
+                            lambda problem, linkage: VerifyReport(False, "path 1 is empty"))
+        inst = write(tmp_path, "a.txt", "dims 2 2\npair 0 0 2 0\npair 1 1 0 2\n")
+        assert main(["oracle", inst]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: oracle witness fails verify: path 1 is empty\n"
+
     def test_long_witness_needs_no_deep_recursion(self, tmp_path, capsys):
         # a single pair across a 40x40 board: the search snakes through
         # 1,561 cells, far deeper than the default recursion limit
@@ -478,6 +488,36 @@ class TestCliFuzz:
         partial = render_trace(SolverTrace(real(seen[3])[1].steps[:1]))
         assert partial.startswith("step 1: ")
         assert text == serialize_instance(seen[3]) + f"# error: injected\n# {partial}\n"
+        assert parse_instance(text) == seen[3]
+
+    def test_linkage_failing_verify_is_written_out_like_a_solver_failure(
+            self, capsys, monkeypatch, tmp_path):
+        # instance 3's linkage fails the gate: one failure path, so it is
+        # counted on both count lines and written out with its full trace
+        main(["fuzz", "--count", "12", "--seed", "5"])
+        clean = capsys.readouterr().out
+        real, seen = rooklink.cli.verify, []
+
+        def flaky(problem, linkage):
+            seen.append(problem)
+            if len(seen) == 4:
+                return VerifyReport(False, "paths 1 and 2 share (0,1)")
+            return real(problem, linkage)
+
+        monkeypatch.setattr(rooklink.cli, "verify", flaky)
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzz", "--count", "12", "--seed", "5", "--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == clean.replace("successes=12", "successes=11").replace(
+            "passes=12", "passes=11")
+        assert "instance 3; wrote fail-5-3.txt" in captured.err
+        assert [f.name for f in tmp_path.iterdir()] == ["fail-5-3.txt"]
+        text = (tmp_path / "fail-5-3.txt").read_text(encoding="utf-8")
+        trace = render_trace(rooklink.cli.solve(seen[3])[1])
+        assert trace.startswith("step 1: ")
+        report = "".join(f"# {line}\n" for line in trace.splitlines())
+        assert text == (serialize_instance(seen[3]) + "# error: solver output fails verify:"
+                         " paths 1 and 2 share (0,1)\n" + report)
         assert parse_instance(text) == seen[3]
 
     @pytest.mark.parametrize("argv, digest", [

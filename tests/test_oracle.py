@@ -370,6 +370,16 @@ class TestSharpness:
             random_pairing([1, 2, 3], random.Random(0))
 
 
+class TestRandomProblem:
+    def test_no_cell_list_is_built(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("the board's cells were listed")
+
+        monkeypatch.setattr(Subgrid, "vertices", refused)
+        p = rooklink.oracle.random_problem(ProductGraph(20000, 20000), 2, random.Random(0))
+        assert p.k == 2 and all(p.subgrid.contains(v) for pair in p.pairs for v in pair)
+
+
 class TestJudged:
     def test_serial_is_lazy(self):
         items = judged(lambda x: x * x, itertools.count(), 1)
