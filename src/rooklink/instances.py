@@ -6,16 +6,18 @@ Instance format (LF line endings, UTF-8, `#` starts a comment):
     pair R1 C1 R2 C2
     ...
 
-Coordinates are 0-based.  A linkage file holds one `path I: (r,c) ...`
-line per pair, 1-based path numbers in pair order.  Parsing then
-serialising then parsing is the identity on the parsed value.
+Coordinates are 0-based, and the board is always the full grid: a
+problem on a proper subgrid has no instance file.  A linkage file
+holds one `path I: (r,c) ...` line per pair, 1-based path numbers in
+pair order.  Parsing then serialising then parsing is the identity on
+the parsed value.
 """
 
 from __future__ import annotations
 
 import re
 
-from .grid import ProductGraph, Vertex
+from .grid import ProblemContractError, ProductGraph, Vertex
 from .problem import LinkageProblem
 
 
@@ -65,6 +67,8 @@ def parse_instance(text: str) -> LinkageProblem:
 
 def serialize_instance(problem: LinkageProblem) -> str:
     sub = problem.subgrid
+    if sub.vertex_count != sub.base.vertex_count:
+        raise ProblemContractError("the instance format describes full boards only")
     lines = [f"dims {sub.base.d1} {sub.base.d2}"]
     for s, t in problem.pairs:
         lines.append(f"pair {s.row} {s.col} {t.row} {t.col}")

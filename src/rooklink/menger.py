@@ -24,69 +24,40 @@ from .grid import ProblemContractError, Subgrid, Vertex
 
 
 class _FlowNet:
-    """Residual network; arc 2i is a unit forward arc, 2i+1 its reverse.
+    """Residual network of unit arcs: arc i leaves ends[i] and enters
+    ends[i ^ 1], so arc 2i runs forward and arc 2i+1 is its reverse.
 
-    Node ids: 0 source, 1 sink, then v_in/v_out per active vertex in
-    lexicographic order, then row hubs, then column hubs.
+    Node ids: 0 source, 1 sink, then v_in/v_out per active vertex in the
+    order given (callers list them row-major), then row hubs, then column
+    hubs.  That order and the order of `ends` (vertex splits, each
+    vertex's hub arcs, A's source arcs, B's sink arcs) fix the arc ids,
+    and with them which augmenting path each BFS finds.
     """
 
-    def __init__(self, s: Subgrid, active: set[Vertex], a_set, b_set) -> None:
-        verts = sorted(active)
+    def __init__(self, s: Subgrid, verts: list[Vertex], a_set, b_set) -> None:
         self.verts = verts
-        n_verts = len(verts)
         vid = {v: 2 + 2 * i for i, v in enumerate(verts)}
-        nxt = 2 + 2 * n_verts
-        row_hub = {r: nxt + i for i, r in enumerate(s.rows)}
-        col_hub = {c: nxt + len(s.rows) + i for i, c in enumerate(s.cols)}
-        nxt += len(s.rows) + len(s.cols)
-        to: list[int] = []
-        adj: list[list[int]] = [[] for _ in range(nxt)]
-        app = to.append
-        m = 0
-        for i in range(n_verts):
-            vin = 2 + 2 * i
-            app(vin + 1)
-            app(vin)
-            adj[vin].append(m)
-            adj[vin + 1].append(m + 1)
-            m += 2
-        for i, v in enumerate(verts):
-            vin = 2 + 2 * i
-            vout = vin + 1
-            a_out = adj[vout]
-            a_in = adj[vin]
-            for hub in (row_hub[v[0]], col_hub[v[1]]):
-                a_hub = adj[hub]
-                app(hub)
-                app(vout)
-                a_out.append(m)
-                a_hub.append(m + 1)
-                app(vin)
-                app(hub)
-                a_hub.append(m + 2)
-                a_in.append(m + 3)
-                m += 4
-        src = adj[0]
+        hub0 = 2 + 2 * len(verts)
+        row_hub = {r: hub0 + i for i, r in enumerate(s.rows)}
+        col_hub = {c: hub0 + len(s.rows) + i for i, c in enumerate(s.cols)}
+        ends = list(range(2, hub0))  # v_in -> v_out for each vertex
+        for (r, c), u in vid.items():
+            for hub in (row_hub[r], col_hub[c]):
+                ends += (u + 1, hub, hub, u)  # v_out -> hub, hub -> v_in
         for a in a_set:
-            u = vid[a]
-            app(u)
-            app(0)
-            src.append(m)
-            adj[u].append(m + 1)
-            m += 2
-        snk = adj[1]
+            ends += (0, vid[a])
         for b in b_set:
-            u = vid[b] + 1
-            app(1)
-            app(u)
-            adj[u].append(m)
-            snk.append(m + 1)
-            m += 2
+            ends += (vid[b] + 1, 1)
+        to = ends[:]
+        to[::2], to[1::2] = ends[1::2], ends[::2]
+        adj: list[list[int]] = [[] for _ in range(hub0 + len(s.rows) + len(s.cols))]
+        for arc, tail in enumerate(ends):
+            adj[tail].append(arc)
         self.to = to
-        self.cap = bytearray(b"\x01\x00" * (m // 2))
+        self.cap = bytearray(b"\x01\x00" * (len(ends) // 2))
         self.adj = adj
-        self._parent = [-1] * nxt
-        self._stamp = [0] * nxt
+        self._parent = [-1] * len(adj)
+        self._stamp = [0] * len(adj)
         self._round = 0
 
     def augment(self) -> bool:
@@ -180,7 +151,7 @@ def disjoint_paths(s: Subgrid, a_set, b_set, forbidden=(),
         s.require(v)
         if v in forb:
             raise ValueError(f"endpoint {tuple(v)} is forbidden")
-    net = _FlowNet(s, {v for v in s.vertices() if v not in forb}, a_sorted, b_sorted)
+    net = _FlowNet(s, [v for v in s.vertices() if v not in forb], a_sorted, b_sorted)
     net.max_flow()
     paths = net.extract(a_sorted, b_sorted)
     if len(paths) < k:
@@ -210,12 +181,13 @@ def connectivity(s: Subgrid) -> int:
         raise ProblemContractError("connectivity undefined on a single vertex")
     if s.n_rows == 1 or s.n_cols == 1:
         return n - 1
-    active = set(s.vertices())
+    cells = list(s.vertices())
     r0, c0 = s.rows[0], s.cols[0]
     best = s.n_rows + s.n_cols - 2
     for r in s.rows[1:]:
         for c in s.cols[1:]:
             for x, y in (((r0, c0), (r, c)), ((r0, c), (r, c0))):
-                net = _FlowNet(s, active - {x, y}, s.neighbors(x), s.neighbors(y))
+                verts = [v for v in cells if v != x and v != y]
+                net = _FlowNet(s, verts, s.neighbors(x), s.neighbors(y))
                 best = net.max_flow(best)
     return best

@@ -9,9 +9,10 @@ import pytest
 import rooklink.cli
 import rooklink.oracle
 from helpers import fake_pool
-from rooklink import (InstanceFormatError, ProductGraph, SolverInvariantError,
-                      SolverTrace, Verdict, Vertex, VerifyReport, parse_instance, parse_linkage,
-                      render_trace, serialize_instance, serialize_linkage)
+from rooklink import (InstanceFormatError, LinkageProblem, ProblemContractError, ProductGraph,
+                      SolverInvariantError, SolverTrace, Subgrid, Verdict, Vertex, VerifyReport,
+                      parse_instance, parse_linkage, render_trace, serialize_instance,
+                      serialize_linkage)
 from rooklink.cli import main
 from rooklink.solver import TransposeStep
 
@@ -49,6 +50,15 @@ class TestInstanceFormat:
         once = parse_instance(text)
         again = parse_instance(serialize_instance(once))
         assert once == again
+
+    def test_proper_subgrid_has_no_instance_file(self):
+        # "dims 3 3" would read back as the whole board, whose other cells
+        # the problem leaves out
+        sub = Subgrid(ProductGraph(3, 3), (0, 2), (1, 3))
+        with pytest.raises(ProblemContractError):
+            serialize_instance(LinkageProblem(sub, ((V(0, 1), V(2, 3)),)))
+        whole = LinkageProblem(ProductGraph(3, 3).subgrid(), ((V(0, 1), V(2, 3)),))
+        assert serialize_instance(whole) == "dims 3 3\npair 0 1 2 3\n"
 
     def test_missing_dims(self):
         with pytest.raises(InstanceFormatError):

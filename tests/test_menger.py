@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -66,6 +67,31 @@ class TestDisjointPaths:
         b_set = [Vertex(0, 2), Vertex(1, 2), Vertex(2, 2)]
         ps = disjoint_paths(sub, a_set, b_set, (), 2)
         assert [p[0] for p in ps] == [Vertex(0, 0), Vertex(1, 0)]
+
+
+class TestFlowNet:
+    def test_network_is_pinned(self):
+        # arc targets, adjacency order and capacities (built and after the
+        # max flow) of seeded networks on subgrids with gapped labels,
+        # forbidden cells and unsorted A/B lists; recorded before the
+        # builder took a row-major list of its active vertices
+        rng = random.Random(18)
+        base = ProductGraph(11, 11)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            rows = rng.sample(range(12), rng.randint(1, 8))
+            cols = rng.sample(range(12), rng.randint(1, 8))
+            sub = Subgrid(base, tuple(rows), tuple(cols))
+            cells = list(sub.vertices())
+            forbidden = set(rng.sample(cells, rng.randint(0, len(cells) // 3)))
+            verts = [v for v in cells if v not in forbidden]
+            a_set = rng.sample(verts, rng.randint(1, min(4, len(verts))))
+            b_set = rng.sample(verts, rng.randint(1, min(4, len(verts))))
+            net = menger._FlowNet(sub, verts, a_set, b_set)
+            digest.update(repr((net.to, net.adj, bytes(net.cap))).encode())
+            digest.update(b"%d" % net.max_flow() + bytes(net.cap))
+        assert digest.hexdigest() == (
+            "910cc5c479be8df9b102353b3f89e90ab9cda02f559c48a6d53cedef4335b580")
 
 
 @st.composite

@@ -34,8 +34,14 @@ def unpaired(*cells):
     return {v: v for v in cells}
 
 
-def _no_flow(*args, **kwargs):
-    raise AssertionError("the solver called the max-flow engine")
+@pytest.fixture
+def no_flow(monkeypatch):
+    """Fail on any max-flow call: every flow, whatever its entry point,
+    builds a menger._FlowNet."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver called the max-flow engine")
+    monkeypatch.setattr(rooklink.solver, "disjoint_paths", refuse)
+    monkeypatch.setattr(rooklink.menger, "_FlowNet", refuse)
 
 
 def solve_and_check(p):
@@ -83,10 +89,9 @@ class TestTwoRowBase:
         p = problem(1, 1, ((0, 0), (1, 1)))
         solve_and_check(p)
 
-    def test_doubled_column_detours_through_an_empty_column(self, monkeypatch):
+    def test_doubled_column_detours_through_an_empty_column(self, no_flow):
         # (0, 0) cannot step down onto (1, 0), so it walks along the top row
         # to the empty column 3 and down it, with no flow call
-        monkeypatch.setattr(rooklink.solver, "disjoint_paths", _no_flow)
         p = problem(1, 3, ((0, 0), (1, 1)), ((1, 0), (0, 2)))
         link, trace = solve_and_check(p)
         assert isinstance(trace.steps[0], TwoRowsStep)
@@ -142,10 +147,9 @@ class TestPairInColumn:
         assert link.paths[1] == (V(1, 0), V(1, 3), V(2, 3))
         assert link.paths[2] == (V(2, 0), V(2, 4), V(0, 4))
 
-    def test_full_row_detours_through_a_spare_row(self, monkeypatch):
+    def test_full_row_detours_through_a_spare_row(self, no_flow):
         # the mover (2, 0) finds row 2 full outside column 0, so it steps
         # down the column into spare row 3 and across it, with no flow call
-        monkeypatch.setattr(rooklink.solver, "disjoint_paths", _no_flow)
         p = problem(4, 2, ((0, 0), (1, 0)), ((2, 0), (2, 1)), ((2, 2), (4, 1)))
         _, trace = solve_and_check(p)
         step = trace.steps[0]
@@ -358,11 +362,10 @@ class TestTwoColumnCase:
         assert step.pushes == {V(4, 0): "down"}
         assert step.matching == {0: 2}
 
-    def test_packed_column_sends_its_last_mover_across(self, monkeypatch):
+    def test_packed_column_sends_its_last_mover_across(self, no_flow):
         # rows 2 and 4 are full outside the block; (2, 1) takes column 1's
         # last free low cell, so (4, 1) steps across its row to (4, 0) and
         # down column 0 to its lowest free low cell, with no flow call
-        monkeypatch.setattr(rooklink.solver, "disjoint_paths", _no_flow)
         p = problem(4, 2, ((0, 0), (1, 1)), ((2, 1), (4, 2)), ((2, 2), (4, 1)))
         link, trace = solve_and_check(p)
         step = trace.steps[0]
@@ -372,12 +375,10 @@ class TestTwoColumnCase:
         assert step.stubs[2][1] == (V(4, 1), V(4, 0), V(1, 0), V(1, 2))
         assert link.paths[2] == (V(2, 2), V(1, 2), V(1, 0), V(4, 0), V(4, 1))
 
-    def test_relocation_needs_no_flow_and_crosses_as_counted(self, monkeypatch):
+    def test_relocation_needs_no_flow_and_crosses_as_counted(self, no_flow):
         # the counting argument at the relocation's invariant error: a
         # mover crosses only when the bridge bends through an anchor's row
         # (three cells), and then it is the step's only crossing
-        monkeypatch.setattr(rooklink.solver, "disjoint_paths", _no_flow)
-        monkeypatch.setattr(rooklink.menger, "disjoint_paths", _no_flow)
         rng = random.Random(808)
         crowded = 0
         for _ in range(3000):
