@@ -5,16 +5,16 @@ cyclic-dual.  Exit codes are stable across commands: 0 success/pass;
 1 verification failure or infeasible (fuzz: some instance failed to
 solve or verify; the campaign still runs to the end); 2 input error
 (InstanceFormatError or ProblemContractError, such as a board with
-d1 + d2 > MAX_DIMENSION_SUM or a negative --k, --count or --budget);
-3 indeterminate (a node budget ran out, ORACLE_NODE_BUDGET by default,
-or a board past its command's size guard in MAX_VERTICES, checked
-before any table is built); 4 internal error (a SolverInvariantError,
-such as a linkage that fails _verified, the gate every emitted linkage
-passes, or any other ValueError: a bug either way); 141 when stdout's
-reader closed the pipe early (as if killed by SIGPIPE).
-Randomised commands are reproducible from their seed, and --workers is
-capped at the machine's cores; timing goes to stderr, so stdout stays
-byte-identical across runs and worker counts.
+d1 + d2 > MAX_DIMENSION_SUM, a negative --k, --count or --budget, or a
+--workers below 1); 3 indeterminate (a node budget ran out,
+ORACLE_NODE_BUDGET by default, or a board past its command's size
+guard in MAX_VERTICES, checked before any table is built); 4 internal
+error (a SolverInvariantError, such as a linkage that fails _verified,
+the gate every emitted linkage passes, or any other ValueError: a bug
+either way); 141 when stdout's reader closed the pipe early (as if
+killed by SIGPIPE).  Randomised commands are reproducible from their
+seed, and --workers is capped at the machine's cores; timing goes to
+stderr, so stdout stays byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -259,11 +259,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # the one check of every count option: none may be negative
-        for option, what in (("k", "pair count"), ("count", "count"), ("budget", "node budget")):
+        # the one check of every count option: --workers is at least 1, the rest non-negative
+        for option, what, least in (("k", "pair count", 0), ("count", "count", 0),
+                                    ("budget", "node budget", 0), ("workers", "worker count", 1)):
             value = getattr(args, option, None)
-            if value is not None and value < 0:
-                raise ProblemContractError(f"{what} must be non-negative, got {value}")
+            if value is not None and value < least:
+                rule = f"at least {least}" if least else "non-negative"
+                raise ProblemContractError(f"{what} must be {rule}, got {value}")
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code

@@ -33,13 +33,14 @@ ordered sets, indexes the terminals by column and by pair (a map from
 each terminal's cell to its partner's, whose keys are the occupied
 cells) and keeps a heap of the pairs that share a line, so a step reads
 only its block's columns and the pairs it moves; only a transpose
-re-indexes every live pair.  Every evacuation is one call to drain_block, which is handed
-the block's terminals to walk out and finds its own spare rows; no step
-uses the max-flow engine.  Steps keep each pair's (s, t) order, so a
-later step's path stitches onto its stubs as it stands.
-The steps route on plain (r, c) tuples; the linkage is folded back out
-of the finished trace by the same code that replays it, and replay
-builds its Vertex objects.
+re-indexes every live pair.  Every evacuation is one call to
+drain_block, which is handed the block's terminals to walk out and
+finds its own spare rows; no step uses the max-flow engine.  Each step
+logs its moves in the order made, and steps keep each pair's (s, t)
+order, so replay undoes a step's moves, last first, onto the later
+paths as they stand.  The steps route on plain (r, c) tuples; the
+linkage is folded back out of the finished trace by the same code that
+replays it, and replay builds its Vertex objects.
 
 Internal failures raise SolverInvariantError carrying the trace: the
 construction cannot fail on a legal input, so a failure is a bug, never
@@ -103,9 +104,8 @@ class LinePairStep:
     pair: int
     column: int
     bridge: tuple[Cell, ...]
-    moved: tuple[Cell, ...]
     staying: int  # terminals left outside the column
-    stubs: dict[int, tuple]
+    moves: tuple  # (pair, side, path) in the order made; side 0 is s, 1 is t
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,9 @@ class TwoColumnStep:
     bridge: tuple[Cell, ...]
     top_rows: tuple[int, ...]
     pushes: dict[Cell, str] | None
-    into_block: int
     in_block: int
     matching: dict[int, int] | None
-    stubs: dict[int, tuple]
+    moves: tuple  # as LinePairStep.moves
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def render_trace(trace: SolverTrace) -> str:
         elif isinstance(st, LinePairStep):
             lines.append(
                 f"step {n}: pair-in-column pair={st.pair + 1} column={st.column}"
-                f" bridge={_fmt_path(st.bridge)} moved={len(st.moved)} staying={st.staying}"
+                f" bridge={_fmt_path(st.bridge)} moved={len(st.moves)} staying={st.staying}"
             )
         else:
             pushes = "-" if st.pushes is None else ",".join(
@@ -158,7 +157,7 @@ def render_trace(trace: SolverTrace) -> str:
             lines.append(
                 f"step {n}: two-columns pair={st.pair + 1} cols={st.cols} slack={st.slack}"
                 f" bend-row={st.bend_row} bridge={_fmt_path(st.bridge)} top-rows={st.top_rows}"
-                f" into-block={st.into_block} in-block={st.in_block}"
+                f" into-block={len(st.pushes or ())} in-block={st.in_block}"
                 f" pushes={pushes} matching={matching}"
             )
     return "\n".join(lines)
@@ -284,7 +283,7 @@ class _Board:
     their indexes: occupied, by_col, idx_of and the heap aligned.
 
     pairs stays in index order; aligned may hold stale indices, which
-    first_aligned drops; moved holds this step's [s, t] stubs by index.
+    first_aligned drops; moves logs this step's moves in the order made.
     """
 
     def __init__(self, rows, cols, pairs) -> None:
@@ -292,7 +291,7 @@ class _Board:
         self.pairs = dict(enumerate(pairs))
         # ascending, so already a heap
         self.aligned = [i for i, (s, t) in self.pairs.items() if _aligned(s, t)]
-        self.moved: dict[int, list] = {}
+        self.moves: list[tuple] = []
         self._index()
 
     def _index(self) -> None:
@@ -313,8 +312,7 @@ class _Board:
         return None
 
     def relocate(self, x: Cell, path: list[Cell]) -> None:
-        """Move the terminal at x along path to its free last cell, and
-        extend its side of its pair's stub by the path."""
+        """Move the terminal at x along path to its free last cell; log the move."""
         y = path[-1]
         partner = self.occupied.pop(x)
         self.occupied[y], self.occupied[partner] = partner, y
@@ -323,18 +321,15 @@ class _Board:
         self.idx_of[y] = idx = self.idx_of.pop(x)
         s, t = self.pairs[idx]
         side = 0 if x == s else 1
-        stub = self.moved.setdefault(idx, [None, None])
-        stub[side] = stub[side][:-1] + path if stub[side] else path
+        self.moves.append((idx, side, tuple(path)))
         s, t = self.pairs[idx] = (y, t) if side == 0 else (s, y)
         if _aligned(s, t):
             heappush(self.aligned, idx)
 
-    def take_stubs(self) -> dict[int, tuple]:
-        """This step's stubs (start cell first) by pair index; clears them."""
-        stubs = {idx: (tuple(ps) if ps else None, tuple(pt) if pt else None)
-                 for idx, (ps, pt) in sorted(self.moved.items())}
-        self.moved = {}
-        return stubs
+    def take_moves(self) -> tuple:
+        """This step's moves, in the order made; clears them."""
+        moves, self.moves = tuple(self.moves), []
+        return moves
 
     def route(self, idx: int) -> None:
         """Take the routed pair idx off the board."""
@@ -349,26 +344,17 @@ class _Board:
         return TransposeStep(reason)
 
 
-def _stitch(inner, stub_s, stub_t):
-    path = list(inner)
-    if stub_s is not None:
-        if path[0] != stub_s[-1]:
-            raise SolverInvariantError("stub does not meet its recursive path")
-        path[:1] = stub_s
-    if stub_t is not None:
-        if path[-1] != stub_t[-1]:
-            raise SolverInvariantError("stub does not meet its recursive path")
-        path += stub_t[-2::-1]
-    return path
-
-
 def _finish(step, acc: dict[int, list[Cell]], cells) -> None:
-    """Stitch one step's stubs, read through cells, onto the later paths."""
-    for idx, (stub_s, stub_t) in step.stubs.items():
-        inner = acc.get(idx)
-        if inner is None:
+    """Undo one step's moves, read through cells, last first: an s move ends
+    where its pair's later path starts, a t move where it ends."""
+    for idx, side, move in reversed(step.moves):
+        path = acc.get(idx)
+        if path is None:
             raise SolverInvariantError(f"pair {idx} missing from the later steps")
-        acc[idx] = _stitch(inner, stub_s and cells(stub_s), stub_t and cells(stub_t))
+        move = cells(move)
+        if move[-1] != (path[-1] if side else path[0]):
+            raise SolverInvariantError("a move does not meet its pair's later path")
+        acc[idx] = [*path, *move[-2::-1]] if side else [*move[:-1], *path]
     acc[step.pair] = cells(step.bridge)
 
 
@@ -399,8 +385,7 @@ def _case_line_pair(board, i1):
         board.relocate(x, path)
     board.route(i1)
     staying = len(board.occupied) - len(drained)
-    return LinePairStep(i1, col0, (s1, t1), tuple(sorted(drained)), staying,
-                        board.take_stubs())
+    return LinePairStep(i1, col0, (s1, t1), staying, board.take_moves())
 
 
 def _case_two_columns(board, i1):
@@ -474,7 +459,7 @@ def _case_two_columns(board, i1):
         raise SolverInvariantError("a terminal was left behind in the deleted columns")
     board.route(i1)
     return TwoColumnStep(i1, block_cols, slack, bend, tuple(bridge), top_rows,
-                         pushes or None, len(movers), in_block, matching, board.take_stubs())
+                         pushes or None, in_block, matching, board.take_moves())
 
 
 def _next_step(board, steps):
@@ -540,7 +525,7 @@ def replay(problem: LinkageProblem, trace: SolverTrace) -> Linkage:
     """Rebuild the linkage from the recorded case decisions alone.
 
     solve() builds its own linkage this way too: the last step's paths
-    come first, and each earlier step stitches its stubs onto them.  The
+    come first, and each earlier step undoes its moves onto them.  The
     paths keep the problem's orientation; a step after an odd number of
     transposes has its cells mirrored once, as they are read.
     """

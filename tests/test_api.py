@@ -5,10 +5,15 @@ that only tests call (drain_block, bridge_path, disjoint_paths), stay in
 their modules; this pin keeps them from drifting back into the API.
 The board's queries live on Subgrid alone, and both classes' members
 are pinned so that a second copy of a query, or a query that only
-tests call, cannot drift back either.
+tests call, cannot drift back either.  The solver's step records are
+pinned field by field: perfbench maps the steps by class name, and
+replay reads the fields.
 """
 
+import dataclasses
+
 import rooklink
+import rooklink.solver
 
 PUBLIC = {
     "EmptySubgridError", "InstanceFormatError", "InvalidVertexError",
@@ -43,6 +48,21 @@ def test_subgrid_members_are_pinned():
     members = {name for name in dir(rooklink.ProductGraph(2, 3).subgrid())
                if not name.startswith("_")}
     assert members == SUBGRID
+
+
+STEP_FIELDS = {
+    "TransposeStep": ("reason",),
+    "SingleRowStep": ("row", "paths"),
+    "TwoRowsStep": ("target_row", "paths"),
+    "LinePairStep": ("pair", "column", "bridge", "staying", "moves"),
+    "TwoColumnStep": ("pair", "cols", "slack", "bend_row", "bridge", "top_rows", "pushes",
+                      "in_block", "matching", "moves"),
+}
+
+
+def test_step_record_fields_are_pinned():
+    for name, fields in STEP_FIELDS.items():
+        assert tuple(f.name for f in dataclasses.fields(getattr(rooklink.solver, name))) == fields
 
 
 def test_every_exported_name_resolves():

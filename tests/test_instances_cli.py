@@ -434,6 +434,11 @@ class TestCliSharpness:
         (["sharpness", "1", "2", "--count", "-1"], "count must be non-negative, got -1"),
         (["sharpness", "2", "2", "--budget", "-1"], "node budget must be non-negative, got -1"),
         (["fuzz", "--count", "-5"], "count must be non-negative, got -5"),
+        # a worker count below 1 once ran the hunt or campaign serially
+        (["sharpness", "1", "2", "--k", "2", "--workers", "0"],
+         "worker count must be at least 1, got 0"),
+        (["fuzz", "--count", "3", "--workers", "-3"], "worker count must be at least 1, got -3"),
+        (["sharpness", "1", "1", "--k", "3"], "not enough vertices for 2k terminals"),
     ])
     def test_negative_count_or_budget_exits_2(self, capsys, argv, message):
         assert main(argv) == 2

@@ -10,7 +10,8 @@ import rooklink.oracle
 from rooklink.oracle import judged
 from helpers import (brute_orbit_count, corner_instances, fake_pool,
                      pairing_images, symmetry_tables)
-from rooklink import (Linkage, LinkageProblem, ProductGraph, Subgrid, Vertex,
+from rooklink import (Linkage, LinkageProblem, ProblemContractError, ProductGraph,
+                      Subgrid, Vertex,
                       all_pairings, exhaustive_solve, find_infeasible_pairing,
                       random_pairing, verify)
 
@@ -364,6 +365,11 @@ class TestSharpness:
         for exhaustive in (None, True, False):
             with pytest.raises(ValueError, match="pair count must be non-negative"):
                 find_infeasible_pairing(2, 2, -1, exhaustive=exhaustive)
+
+    def test_more_terminals_than_cells_are_rejected(self):
+        # three pairs need six of the 2 x 2 board's four cells
+        with pytest.raises(ProblemContractError, match="not enough vertices"):
+            find_infeasible_pairing(1, 1, 3)
 
     def test_random_pairing_rejects_odd_input(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -10,13 +11,13 @@ from hypothesis import strategies as st
 
 from rooklink import (LinkageProblem, ProblemContractError, ProductGraph,
                       SolverInvariantError, Subgrid, Vertex, all_pairings,
-                      cyclic_dual_params, exhaustive_solve,
+                      cyclic_dual_params, exhaustive_solve, flip,
                       max_guaranteed_pairs, random_pairing, render_trace,
                       replay, serialize_linkage, solve, verify)
 import rooklink.menger
 import rooklink.solver
 from rooklink.solver import (LinePairStep, TransposeStep, TwoColumnStep, TwoRowsStep,
-                             _stitch, bridge_path, drain_block)
+                             _finish, bridge_path, drain_block)
 
 from helpers import routing_margin_holds
 
@@ -104,20 +105,25 @@ class TestTwoRowBase:
         assert link.paths == ((V(0, 0), V(1, 0)),)
 
 
+# three movers of column 0 hop across their rows into their partners' columns
+MOVERS = (((0, 0), (3, 0)), ((1, 0), (2, 3)), ((2, 0), (0, 4)), ((4, 0), (1, 1)))
+
+
 class TestPairInColumn:
     def test_empty_column_rest(self):
         p = problem(2, 2, ((0, 0), (2, 0)), ((1, 1), (0, 2)))
         link, trace = solve_and_check(p)
         assert link.paths[0] == (V(0, 0), V(2, 0))
         step = trace.steps[0]
-        assert isinstance(step, LinePairStep) and step.moved == ()
+        assert isinstance(step, LinePairStep) and step.moves == ()
 
     def test_one_terminal_evacuated(self):
+        # pair 1's s, (2, 0), hops across its row into its partner's column
         p = problem(2, 3, ((0, 0), (1, 0)), ((2, 0), (0, 3)))
         link, trace = solve_and_check(p)
         step = trace.steps[0]
         assert isinstance(step, LinePairStep)
-        assert step.moved == (V(2, 0),)
+        assert step.moves == ((1, 0, (V(2, 0), V(2, 3))),)
         assert link.paths[0] == (V(0, 0), V(1, 0))
 
     def test_margin_instance(self):
@@ -132,18 +138,15 @@ class TestPairInColumn:
         # every mover's row is free in its partner's column, so each one
         # steps straight across its row into that column, and the next two
         # steps route the pairs it leaves sharing a column as single edges
-        p = problem(4, 4, ((0, 0), (3, 0)), ((1, 0), (2, 3)), ((2, 0), (0, 4)),
-                    ((4, 0), (1, 1)))
+        p = problem(4, 4, *MOVERS)
         link, trace = solve_and_check(p)
         step = trace.steps[0]
         assert isinstance(step, LinePairStep)
-        assert step.moved == (V(1, 0), V(2, 0), V(4, 0))
-        stubs = {stub[0]: stub for pair in step.stubs.values() for stub in pair if stub}
-        assert stubs == {V(1, 0): (V(1, 0), V(1, 3)), V(2, 0): (V(2, 0), V(2, 4)),
-                         V(4, 0): (V(4, 0), V(4, 1))}
+        assert step.moves == ((1, 0, (V(1, 0), V(1, 3))), (2, 0, (V(2, 0), V(2, 4))),
+                              (3, 0, (V(4, 0), V(4, 1))))
         for later, column in zip(trace.steps[1:3], (3, 4)):
             assert isinstance(later, LinePairStep)
-            assert later.column == column and later.moved == ()
+            assert later.column == column and later.moves == ()
         assert link.paths[1] == (V(1, 0), V(1, 3), V(2, 3))
         assert link.paths[2] == (V(2, 0), V(2, 4), V(0, 4))
 
@@ -153,8 +156,26 @@ class TestPairInColumn:
         p = problem(4, 2, ((0, 0), (1, 0)), ((2, 0), (2, 1)), ((2, 2), (4, 1)))
         _, trace = solve_and_check(p)
         step = trace.steps[0]
-        assert isinstance(step, LinePairStep) and step.moved == (V(2, 0),)
-        assert step.stubs[1][0] == (V(2, 0), V(3, 0), V(3, 1))
+        assert isinstance(step, LinePairStep)
+        assert step.moves == ((1, 0, (V(2, 0), V(3, 0), V(3, 1))),)
+
+    def test_failure_carries_the_steps_before_it(self, monkeypatch):
+        # each of the first three steps drains its column once; a failure
+        # in the second one's drain leaves the first step in the trace
+        p = problem(4, 4, *MOVERS)
+        _, trace = solve(p)
+        real, calls = drain_block, []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise SolverInvariantError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(rooklink.solver, "drain_block", fail_second)
+        with pytest.raises(SolverInvariantError, match="injected") as info:
+            solve(p)
+        assert info.value.trace.steps == trace.steps[:1]
 
 
 class TestBridge:
@@ -298,22 +319,46 @@ class TestDrainBlock:
                     used.add(v)
 
 
-class TestStitch:
-    # the pair (0, 0) -> (4, 1) has stubs ending on (0, 3) and (4, 3)
-    STUB_S = (V(0, 0), V(0, 3))
-    STUB_T = (V(4, 1), V(4, 3))
+class TestFinish:
+    # a hand-made step routes pair 1 and moves pair 0, (0, 0) -> (4, 1):
+    # its s to (0, 3) and its t to (4, 3)
+    MOVE_S = (0, 0, (V(0, 0), V(0, 3)))
+    MOVE_T = (0, 1, (V(4, 1), V(4, 3)))
 
-    def test_stubs_wrap_an_inner_path_from_s_to_t(self):
-        path = _stitch((V(0, 3), V(4, 3)), self.STUB_S, self.STUB_T)
-        assert path == [V(0, 0), V(0, 3), V(4, 3), V(4, 1)]
+    @staticmethod
+    def finish(later, *moves):
+        acc = {0: later}
+        _finish(LinePairStep(1, 2, (V(1, 2), V(3, 2)), 0, moves), acc, tuple)
+        return acc
 
-    @pytest.mark.parametrize("stub_s, stub_t", [(STUB_S, STUB_T), (STUB_S, None),
-                                                (None, STUB_T)])
-    def test_inner_path_from_t_to_s_is_an_internal_error(self, stub_s, stub_t):
+    def test_moves_wrap_an_inner_path_from_s_to_t(self):
+        acc = self.finish((V(0, 3), V(4, 3)), self.MOVE_S, self.MOVE_T)
+        assert acc == {0: [V(0, 0), V(0, 3), V(4, 3), V(4, 1)], 1: (V(1, 2), V(3, 2))}
+
+    def test_moves_of_one_side_are_undone_last_first(self):
+        acc = self.finish((V(2, 3), V(4, 3)), self.MOVE_S, (0, 0, (V(0, 3), V(2, 3))))
+        assert acc[0] == [V(0, 0), V(0, 3), V(2, 3), V(4, 3)]
+
+    @pytest.mark.parametrize("moves", [(MOVE_S, MOVE_T), (MOVE_S,), (MOVE_T,)],
+                             ids=["s-and-t", "s-only", "t-only"])
+    def test_inner_path_from_t_to_s_is_an_internal_error(self, moves):
         # every step keeps each pair's (s, t) order, so a reversed inner
         # path is a bug, not something to turn around
-        with pytest.raises(SolverInvariantError):
-            _stitch((V(4, 3), V(0, 3)), stub_s, stub_t)
+        with pytest.raises(SolverInvariantError, match="does not meet"):
+            self.finish((V(4, 3), V(0, 3)), *moves)
+
+    def test_replay_refuses_a_tampered_trace(self):
+        # the first step moves pair 1's s to (1, 3), and the next step
+        # routes pair 1 from there; logged as a t move, or with pair 1's
+        # step dropped, the move meets no later path
+        p = problem(4, 4, *MOVERS)
+        _, trace = solve(p)
+        first, *rest = trace.steps
+        as_t = dataclasses.replace(first, moves=((1, 1, first.moves[0][2]), *first.moves[1:]))
+        for steps, message in (((as_t, *rest), "does not meet"),
+                               ((first, *rest[1:]), "pair 1 missing")):
+            with pytest.raises(SolverInvariantError, match=message):
+                replay(p, dataclasses.replace(trace, steps=steps))
 
 
 class TestTwoColumnCase:
@@ -348,8 +393,9 @@ class TestTwoColumnCase:
                     ((0, 2), (3, 3)), ((0, 3), (4, 2)))
         _, trace = solve_and_check(p)
         step = trace.steps[0]
-        assert isinstance(step, TwoColumnStep) and step.into_block == 1
+        assert isinstance(step, TwoColumnStep) and step.pushes == {V(0, 0): "down"}
         assert step.top_rows == (0, 1)
+        assert step.moves == ((1, 0, (V(0, 0), V(2, 0))), (1, 0, (V(2, 0), V(2, 3))))
 
     def test_saturated_row_terminal_pushed_down_its_column(self):
         # one row of the wide side is fully occupied, so the block terminal
@@ -372,7 +418,8 @@ class TestTwoColumnCase:
         assert isinstance(step, TwoColumnStep) and step.slack == 2
         assert step.top_rows == (0, 2, 4)
         assert step.pushes == {V(2, 1): "down", V(4, 1): "across"}
-        assert step.stubs[2][1] == (V(4, 1), V(4, 0), V(1, 0), V(1, 2))
+        assert [m for m in step.moves if m[0] == 2] == [(2, 1, (V(4, 1), V(4, 0), V(1, 0))),
+                                                        (2, 1, (V(1, 0), V(1, 2)))]
         assert link.paths[2] == (V(2, 2), V(1, 2), V(1, 0), V(4, 0), V(4, 1))
 
     def test_relocation_needs_no_flow_and_crosses_as_counted(self, no_flow):
@@ -603,13 +650,13 @@ class TestPinnedOutput:
 
 
 @st.composite
-def bounded_problems(draw):
+def bounded_problems(draw, at_bound=False):
     d1 = draw(st.integers(0, 5))
     d2 = draw(st.integers(0, 5))
     bound = max_guaranteed_pairs(d1, d2)
     grid = ProductGraph(d1, d2)
     verts = sorted(grid.subgrid().vertices())
-    k = draw(st.integers(0, bound))
+    k = bound if at_bound else draw(st.integers(0, bound))
     terms = draw(st.permutations(verts))[: 2 * k]
     pairs = tuple((terms[2 * i], terms[2 * i + 1]) for i in range(k))
     return LinkageProblem(grid, pairs)
@@ -620,4 +667,23 @@ def bounded_problems(draw):
 def test_solver_output_is_always_valid(p):
     link, trace = solve(p)
     assert verify(p, link).ok
+    assert replay(p, trace) == link
+
+
+@settings(deadline=None, max_examples=150)
+@given(bounded_problems(at_bound=True))
+def test_each_move_starts_where_its_terminal_stands(p):
+    # within a step, a move of a (pair, side) starts at that terminal's
+    # cell before the step or where its previous move ended; a step's cells
+    # are in the board's orientation, so a transpose mirrors every terminal
+    link, trace = solve(p)
+    at = {i: list(pair) for i, pair in enumerate(p.pairs)}
+    for step in trace.steps:
+        if isinstance(step, TransposeStep):
+            at = {i: [flip(v) for v in pair] for i, pair in at.items()}
+        elif isinstance(step, (LinePairStep, TwoColumnStep)):
+            for idx, side, path in step.moves:
+                assert path[0] == at[idx][side]
+                at[idx][side] = path[-1]
+            assert at.pop(step.pair) == [step.bridge[0], step.bridge[-1]]
     assert replay(p, trace) == link
