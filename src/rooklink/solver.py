@@ -33,14 +33,16 @@ ordered sets, indexes the terminals by column and by pair (a map from
 each terminal's cell to its partner's, whose keys are the occupied
 cells) and keeps a heap of the pairs that share a line, so a step reads
 only its block's columns and the pairs it moves; only a transpose
-re-indexes every live pair.  Every evacuation is one call to
-drain_block, which is handed the block's terminals to walk out and
-finds its own spare rows; no step uses the max-flow engine.  Each step
-logs its moves in the order made, and steps keep each pair's (s, t)
-order, so replay undoes a step's moves, last first, onto the later
-paths as they stand.  The steps route on plain (r, c) tuples; the
-linkage is folded back out of the finished trace by the same code that
-replays it, and replay builds its Vertex objects.
+re-indexes every live pair.  Every evacuation is one call to drain_block,
+which is handed the block's terminals to walk out and finds its own
+spare rows; no step uses the max-flow engine.  Each step logs its moves
+in the order made, and steps keep each pair's (s, t) order, so replay
+undoes a step's moves, last first, onto the later paths as they stand.
+A record keeps no fact its bridge or log holds: render_trace reads the
+block columns and bend row off the bridge, and the pushes, the moves
+that end in a block column, off the log.  The steps route on plain (r, c)
+tuples; the linkage is folded back out of the finished trace by the same
+code that replays it, and replay builds its Vertex objects.
 
 Internal failures raise SolverInvariantError carrying the trace: the
 construction cannot fail on a legal input, so a failure is a bug, never
@@ -102,7 +104,6 @@ class TwoRowsStep:
 @dataclass(frozen=True)
 class LinePairStep:
     pair: int
-    column: int
     bridge: tuple[Cell, ...]
     staying: int  # terminals left outside the column
     moves: tuple  # (pair, side, path) in the order made; side 0 is s, 1 is t
@@ -111,13 +112,9 @@ class LinePairStep:
 @dataclass(frozen=True)
 class TwoColumnStep:
     pair: int
-    cols: tuple[int, int]
     slack: int
-    bend_row: int
     bridge: tuple[Cell, ...]
     top_rows: tuple[int, ...]
-    pushes: dict[Cell, str] | None
-    in_block: int
     matching: dict[int, int] | None
     moves: tuple  # as LinePairStep.moves
 
@@ -146,19 +143,21 @@ def render_trace(trace: SolverTrace) -> str:
             lines.append(f"step {n}: two-rows target-row={st.target_row} pairs={len(st.paths)}")
         elif isinstance(st, LinePairStep):
             lines.append(
-                f"step {n}: pair-in-column pair={st.pair + 1} column={st.column}"
+                f"step {n}: pair-in-column pair={st.pair + 1} column={st.bridge[0][1]}"
                 f" bridge={_fmt_path(st.bridge)} moved={len(st.moves)} staying={st.staying}"
             )
         else:
-            pushes = "-" if st.pushes is None else ",".join(
-                f"{tuple(v)}:{how}" for v, how in sorted(st.pushes.items()))
+            cols = (st.bridge[0][1], st.bridge[-1][1])
+            pushes = [path for _, _, path in st.moves if path[-1][1] in cols]
+            shown = ",".join(f"{tuple(path[0])}:{'down' if len(path) == 2 else 'across'}"
+                             for path in pushes) or "-"
             matching = "-" if st.matching is None else ",".join(
                 f"{a}->{b}" for a, b in sorted(st.matching.items()))
             lines.append(
-                f"step {n}: two-columns pair={st.pair + 1} cols={st.cols} slack={st.slack}"
-                f" bend-row={st.bend_row} bridge={_fmt_path(st.bridge)} top-rows={st.top_rows}"
-                f" into-block={len(st.pushes or ())} in-block={st.in_block}"
-                f" pushes={pushes} matching={matching}"
+                f"step {n}: two-columns pair={st.pair + 1} cols={cols} slack={st.slack}"
+                f" bend-row={st.bridge[-2][0]} bridge={_fmt_path(st.bridge)} top-rows={st.top_rows}"
+                f" into-block={len(pushes)} in-block={len(st.moves) - 2 * len(pushes)}"
+                f" pushes={shown} matching={matching}"
             )
     return "\n".join(lines)
 
@@ -167,9 +166,9 @@ def render_trace(trace: SolverTrace) -> str:
 # reusable routing pieces (each independently testable)
 
 
-def bridge_path(rows, block_cols, s: Cell, t: Cell, occupied) -> tuple[list[Cell], int]:
+def bridge_path(rows, block_cols, s: Cell, t: Cell, occupied) -> list[Cell]:
     """An s-t path inside the two block columns whose interior avoids
-    every cell of occupied, with the row holding both its block entries.
+    every cell of occupied; every candidate's bend row is that of path[-2].
 
     The len(rows)-many candidates are internally disjoint: two bends of
     length two (through s's row, then t's row) and one path of length
@@ -181,11 +180,11 @@ def bridge_path(rows, block_cols, s: Cell, t: Cell, occupied) -> tuple[list[Cell
     if {c_s, c_t} != set(block_cols) or c_s == c_t or s[0] == t[0]:
         raise SolverInvariantError(
             "bridge endpoints must span the two block columns on distinct rows")
-    bends = (([s, (s[0], c_t), t], s[0]), ([s, (t[0], c_s), t], t[0]))
-    thirds = (([s, (r, c_s), (r, c_t), t], r) for r in rows if r != s[0] and r != t[0])
-    for path, bend in chain(bends, thirds):
+    bends = ([s, (s[0], c_t), t], [s, (t[0], c_s), t])
+    thirds = ([s, (r, c_s), (r, c_t), t] for r in rows if r != s[0] and r != t[0])
+    for path in chain(bends, thirds):
         if occupied.isdisjoint(path[1:-1]):
-            return path, bend
+            return path
     raise SolverInvariantError("every bridge candidate is blocked; occupancy cap violated")
 
 
@@ -385,7 +384,7 @@ def _case_line_pair(board, i1):
         board.relocate(x, path)
     board.route(i1)
     staying = len(board.occupied) - len(drained)
-    return LinePairStep(i1, col0, (s1, t1), staying, board.take_moves())
+    return LinePairStep(i1, (s1, t1), staying, board.take_moves())
 
 
 def _case_two_columns(board, i1):
@@ -399,7 +398,8 @@ def _case_two_columns(board, i1):
     slack = d1p + 2 - len(block_terms)
     if not 0 <= slack <= d1p:
         raise SolverInvariantError("two-column occupancy out of range")
-    bridge, bend = bridge_path(rows, block_cols, s1, t1, occupied.keys())
+    bridge = bridge_path(rows, block_cols, s1, t1, occupied.keys())
+    bend = bridge[-2][0]
     others = [v for v in block_terms if v not in anchors]
     if any(v[0] == bend for v in others):
         raise SolverInvariantError("plain terminal on the bridge row")
@@ -419,11 +419,9 @@ def _case_two_columns(board, i1):
     # free low cell, or, when that column is packed, across to its
     # row-mate cell and down the other column
     movers = sorted(v for v in others if v[0] in top_rows)
-    in_block = len(others) - len(movers)
-    pushes = {}
     for x in movers:
         mate = (x[0], block_cols[1] if x[1] == block_cols[0] else block_cols[0])
-        for how, path in (("down", [x]), ("across", [x, mate])):
+        for path in ([x], [x, mate]):
             c = path[-1][1]
             down = next((r for r in low_rows if (r, c) not in occupied), None)
             if down is not None and occupied.keys().isdisjoint(path[1:]):
@@ -444,7 +442,6 @@ def _case_two_columns(board, i1):
             # column's low cells are free.
             raise SolverInvariantError(f"mover {tuple(x)} has no reachable low-block cell")
         path.append((down, c))
-        pushes[x] = how
         board.relocate(x, path)
     if others:
         # every plain block terminal now sits on a low row
@@ -458,8 +455,7 @@ def _case_two_columns(board, i1):
     if board.by_col[s1[1]] | board.by_col[t1[1]] != anchors:
         raise SolverInvariantError("a terminal was left behind in the deleted columns")
     board.route(i1)
-    return TwoColumnStep(i1, block_cols, slack, bend, tuple(bridge), top_rows,
-                         pushes or None, in_block, matching, board.take_moves())
+    return TwoColumnStep(i1, slack, tuple(bridge), top_rows, matching, board.take_moves())
 
 
 def _next_step(board, steps):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations
 
 from rooklink import LinkageProblem, ProductGraph, Subgrid, Vertex, all_pairings
@@ -72,6 +73,29 @@ def brute_ab_feasible(sub: Subgrid, a_set, b_set, forbidden, k: int) -> bool:
         if route(list(starts), 0, set()):
             return True
     return False
+
+
+def brute_linkable(problem: LinkageProblem) -> bool:
+    """Independent decider: do the problem's pairs have disjoint paths?
+
+    A memoised search over (pair, cell, used set) on Subgrid.neighbors:
+    pair i's path grows from its s one free cell at a time until it
+    steps onto its t, then pair i + 1 starts.  Terminals are used from
+    the outset, so no path passes through another pair's terminal.  It
+    has no reachability cut and no pair ordering, and it shares no code
+    with rooklink.oracle, whose verdicts it re-checks on small boards.
+    """
+    sub, pairs = problem.subgrid, problem.pairs
+
+    @cache
+    def route(i: int, head: Vertex, used: frozenset) -> bool:
+        t = pairs[i][1]
+        if head == t:
+            return i + 1 == len(pairs) or route(i + 1, pairs[i + 1][0], used)
+        return any(route(i, w, used | {w}) for w in sub.neighbors(head)
+                   if w == t or w not in used)
+
+    return not pairs or route(0, pairs[0][0], frozenset(v for pair in pairs for v in pair))
 
 
 def brute_connectivity(sub: Subgrid) -> int:

@@ -14,7 +14,7 @@ from rooklink import (LinkageProblem, ProductGraph, SolverInvariantError,
 from rooklink.cli import main
 from rooklink.solver import drain_block
 
-from helpers import routing_margin_holds
+from helpers import brute_linkable, routing_margin_holds
 
 V = Vertex
 
@@ -100,6 +100,7 @@ def test_criterion_5_sharpness(capsys):
         assert res.found is not None, f"({d1},{d2}) no infeasible pairing found"
         check = exhaustive_solve(res.found)
         assert check.feasible is False
+        assert not brute_linkable(res.found), "the independent decider links it"
     _announce(capsys, "ACCEPTANCE 5 PASS: certified infeasible pairings at"
                       " k=floor((d1+d2+1)/2) for (1,2),(1,4),(2,1),(2,3)")
 
@@ -108,6 +109,7 @@ def test_criterion_5_optional_long_sharpness(capsys):
     res = find_infeasible_pairing(2, 5, 4)
     assert res.completed and res.found is not None
     assert exhaustive_solve(res.found).feasible is False
+    assert not brute_linkable(res.found), "the independent decider links it"
     _announce(capsys, "ACCEPTANCE 5 (optional) PASS: (2,5) infeasible pairing found")
 
 

@@ -6,8 +6,9 @@ their modules; this pin keeps them from drifting back into the API.
 The board's queries live on Subgrid alone, and both classes' members
 are pinned so that a second copy of a query, or a query that only
 tests call, cannot drift back either.  The solver's step records are
-pinned field by field: perfbench maps the steps by class name, and
-replay reads the fields.
+pinned field by field: perfbench maps the steps by class name, replay
+reads pair, bridge and moves, and render_trace reads the rest; a field
+that the bridge or the move log already holds is not stored.
 """
 
 import dataclasses
@@ -54,9 +55,8 @@ STEP_FIELDS = {
     "TransposeStep": ("reason",),
     "SingleRowStep": ("row", "paths"),
     "TwoRowsStep": ("target_row", "paths"),
-    "LinePairStep": ("pair", "column", "bridge", "staying", "moves"),
-    "TwoColumnStep": ("pair", "cols", "slack", "bend_row", "bridge", "top_rows", "pushes",
-                      "in_block", "matching", "moves"),
+    "LinePairStep": ("pair", "bridge", "staying", "moves"),
+    "TwoColumnStep": ("pair", "slack", "bridge", "top_rows", "matching", "moves"),
 }
 
 

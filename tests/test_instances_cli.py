@@ -8,7 +8,7 @@ import pytest
 
 import rooklink.cli
 import rooklink.oracle
-from helpers import fake_pool
+from helpers import brute_linkable, fake_pool
 from rooklink import (InstanceFormatError, LinkageProblem, ProblemContractError, ProductGraph,
                       SolverInvariantError, SolverTrace, Subgrid, Verdict, Vertex, VerifyReport,
                       parse_instance, parse_linkage, render_trace, serialize_instance,
@@ -227,6 +227,7 @@ class TestCliOracle:
         if code == 0:
             pytest.fail(f"expected infeasible, got: {out}")
         assert code == 1 and "infeasible" in out
+        assert not brute_linkable(parse_instance(Path(inst).read_text()))
 
     def test_budget_indeterminate_exits_3(self, tmp_path, capsys):
         inst = write(tmp_path, "a.txt",

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 import rooklink.oracle
 from rooklink.oracle import judged
-from helpers import (brute_orbit_count, corner_instances, fake_pool,
+from helpers import (brute_linkable, brute_orbit_count, corner_instances, fake_pool,
                      pairing_images, symmetry_tables)
 from rooklink import (Linkage, LinkageProblem, ProblemContractError, ProductGraph,
                       Subgrid, Vertex,
                       all_pairings, exhaustive_solve, find_infeasible_pairing,
-                      random_pairing, verify)
+                      max_guaranteed_pairs, random_pairing, verify)
 
 V = Vertex
 
@@ -195,6 +195,7 @@ class TestLinkedness:
         res = find_infeasible_pairing(1, 2, 2, exhaustive=True)
         assert res.found is not None and res.completed
         assert exhaustive_solve(res.found).feasible is False
+        assert not brute_linkable(res.found)
 
     @pytest.mark.parametrize("d1,d2,k", [(9, 9, 4), (5, 7, 4), (2, 9, 5)])
     def test_large_board_is_refused_before_any_table_is_built(self, monkeypatch,
@@ -247,10 +248,12 @@ class TestSharpness:
         res = find_infeasible_pairing(1, 2, 2)
         assert res.found is not None and res.completed
         assert exhaustive_solve(res.found).feasible is False
+        assert not brute_linkable(res.found)
 
     def test_transposed_family(self):
         res = find_infeasible_pairing(2, 1, 2)
         assert res.found is not None and res.completed
+        assert not brute_linkable(res.found)
 
     def test_three_by_three_has_none(self):
         res = find_infeasible_pairing(2, 2, 2)
@@ -264,6 +267,7 @@ class TestSharpness:
         res = find_infeasible_pairing(1, 2, 2, exhaustive=False, seed=4, count=300)
         assert res.found is not None and res.completed
         assert exhaustive_solve(res.found).feasible is False
+        assert not brute_linkable(res.found)
         # the seeded draws, and so the find and its counts, are pinned
         assert res.found.pairs == (((0, 1), (1, 2)), ((0, 2), (1, 1)))
         assert (res.instances_checked, res.nodes_explored) == (5, 26)
@@ -300,6 +304,7 @@ class TestSharpness:
         assert res.completed
         assert (res.instances_checked, res.nodes_explored) == (checked, nodes)
         assert res.found.pairs == pairing
+        assert not brute_linkable(res.found)
 
     @pytest.mark.parametrize("args, kw, outcomes", [
         # sweep mode: a find at 214 nodes, and a complete 182-orbit sweep
@@ -457,6 +462,7 @@ class TestOrbitSweep:
         assert (orbit.found is None) == (corner.found is None)
         if orbit.found is not None:
             assert exhaustive_solve(orbit.found).feasible is False
+            assert not brute_linkable(orbit.found)
 
     def test_one_row_yields_its_single_orbit_without_a_walk(self, monkeypatch):
         # every permutation of a one-row board's cells is a symmetry, so its
@@ -514,3 +520,23 @@ def test_exhaustive_solve_agrees_with_its_witness(p):
         assert verify(p, verdict.witness).ok
     else:
         assert verdict.witness is None
+
+
+@st.composite
+def above_bound_problems(draw):
+    # one or two pairs past the bound, as many as the board's cells allow
+    d1 = draw(st.integers(1, 3))
+    d2 = draw(st.integers(1, 3))
+    grid = ProductGraph(d1, d2)
+    verts = sorted(grid.subgrid().vertices())
+    k = min(max_guaranteed_pairs(d1, d2) + draw(st.integers(1, 2)), len(verts) // 2)
+    terms = draw(st.permutations(verts))[: 2 * k]
+    return LinkageProblem(grid, tuple((terms[2 * i], terms[2 * i + 1]) for i in range(k)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(above_bound_problems())
+def test_independent_decider_agrees_with_exhaustive_solve(p):
+    # brute_linkable shares no code with the oracle: no cut, no pair order
+    verdict = exhaustive_solve(p)
+    assert verdict.feasible is brute_linkable(p)

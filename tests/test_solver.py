@@ -146,7 +146,7 @@ class TestPairInColumn:
                               (3, 0, (V(4, 0), V(4, 1))))
         for later, column in zip(trace.steps[1:3], (3, 4)):
             assert isinstance(later, LinePairStep)
-            assert later.column == column and later.moves == ()
+            assert later.bridge[0][1] == column and later.moves == ()
         assert link.paths[1] == (V(1, 0), V(1, 3), V(2, 3))
         assert link.paths[2] == (V(2, 0), V(2, 4), V(0, 4))
 
@@ -185,8 +185,8 @@ class TestBridge:
         s, t = V(1, 0), V(2, 1)
         blocked, bends = set(), []
         for _ in range(3):
-            path, bend = bridge_path((0, 1, 2), (0, 1), s, t, blocked)
-            bends.append(bend)
+            path = bridge_path((0, 1, 2), (0, 1), s, t, blocked)
+            bends.append(path[-2][0])
             blocked.add(path[1])
         assert bends == [1, 2, 0]
         with pytest.raises(SolverInvariantError):
@@ -198,15 +198,15 @@ class TestBridge:
             bridge_path((0, 1, 2), (0, 1), V(*s), V(*t), set())
 
     def test_shortest_candidate_preferred(self):
-        path, bend = bridge_path((0, 1, 2, 3), (0, 1), V(1, 0), V(2, 1), set())
+        path = bridge_path((0, 1, 2, 3), (0, 1), V(1, 0), V(2, 1), set())
         assert path == [V(1, 0), V(1, 1), V(2, 1)]
-        assert bend == 1
+        assert path[-2][0] == 1
 
     def test_blockers_force_detour_row(self):
         occupied = {V(1, 0), V(2, 1), V(1, 1), V(2, 0)}
-        path, bend = bridge_path((0, 1, 2, 3), (0, 1), V(1, 0), V(2, 1), occupied)
+        path = bridge_path((0, 1, 2, 3), (0, 1), V(1, 0), V(2, 1), occupied)
         assert path == [V(1, 0), V(0, 0), V(0, 1), V(2, 1)]
-        assert bend == 0
+        assert path[-2][0] == 0
 
     def test_all_candidates_blocked_panics(self):
         occupied = {V(0, 0), V(1, 1), V(0, 1), V(1, 0)}
@@ -328,7 +328,7 @@ class TestFinish:
     @staticmethod
     def finish(later, *moves):
         acc = {0: later}
-        _finish(LinePairStep(1, 2, (V(1, 2), V(3, 2)), 0, moves), acc, tuple)
+        _finish(LinePairStep(1, (V(1, 2), V(3, 2)), 0, moves), acc, tuple)
         return acc
 
     def test_moves_wrap_an_inner_path_from_s_to_t(self):
@@ -359,6 +359,14 @@ class TestFinish:
                                ((first, *rest[1:]), "pair 1 missing")):
             with pytest.raises(SolverInvariantError, match=message):
                 replay(p, dataclasses.replace(trace, steps=steps))
+
+
+def pushes(step):
+    """A two-column step's pushes, each mover's start cell and how it went:
+    down its own block column (two cells) or across to the other (three)."""
+    cols = (step.bridge[0][1], step.bridge[-1][1])
+    return {path[0]: "down" if len(path) == 2 else "across"
+            for _, _, path in step.moves if path[-1][1] in cols}
 
 
 class TestTwoColumnCase:
@@ -393,7 +401,7 @@ class TestTwoColumnCase:
                     ((0, 2), (3, 3)), ((0, 3), (4, 2)))
         _, trace = solve_and_check(p)
         step = trace.steps[0]
-        assert isinstance(step, TwoColumnStep) and step.pushes == {V(0, 0): "down"}
+        assert isinstance(step, TwoColumnStep) and pushes(step) == {V(0, 0): "down"}
         assert step.top_rows == (0, 1)
         assert step.moves == ((1, 0, (V(0, 0), V(2, 0))), (1, 0, (V(2, 0), V(2, 3))))
 
@@ -405,8 +413,9 @@ class TestTwoColumnCase:
         step = trace.steps[0]
         assert isinstance(step, TwoColumnStep)
         assert step.slack == 1
-        assert step.pushes == {V(4, 0): "down"}
+        assert pushes(step) == {V(4, 0): "down"}
         assert step.matching == {0: 2}
+        assert step.moves[1] == (1, 0, (V(0, 0), V(2, 0), V(2, 2)))
 
     def test_packed_column_sends_its_last_mover_across(self, no_flow):
         # rows 2 and 4 are full outside the block; (2, 1) takes column 1's
@@ -417,7 +426,7 @@ class TestTwoColumnCase:
         step = trace.steps[0]
         assert isinstance(step, TwoColumnStep) and step.slack == 2
         assert step.top_rows == (0, 2, 4)
-        assert step.pushes == {V(2, 1): "down", V(4, 1): "across"}
+        assert pushes(step) == {V(2, 1): "down", V(4, 1): "across"}
         assert [m for m in step.moves if m[0] == 2] == [(2, 1, (V(4, 1), V(4, 0), V(1, 0))),
                                                         (2, 1, (V(1, 0), V(1, 2)))]
         assert link.paths[2] == (V(2, 2), V(1, 2), V(1, 0), V(4, 0), V(4, 1))
@@ -436,10 +445,10 @@ class TestTwoColumnCase:
             p = LinkageProblem(grid, tuple(random_pairing(terms, rng)))
             _, trace = solve_and_check(p)
             for step in trace.steps:
-                if not isinstance(step, TwoColumnStep) or not step.pushes:
+                if not isinstance(step, TwoColumnStep) or not pushes(step):
                     continue
                 crowded += step.slack >= 2
-                across = list(step.pushes.values()).count("across")
+                across = list(pushes(step).values()).count("across")
                 assert across <= 1 and (across == 0 or len(step.bridge) == 3), step
         assert crowded > 0
 
@@ -639,6 +648,25 @@ class TestPinnedOutput:
         assert digest.hexdigest() == (
             "7f2c3c6db9457aabf4bc25fbcb6b5cde03e4dac09fa19b9e984f0c71f660077f")
 
+    @pytest.mark.parametrize("pairs, first_line", [
+        # TestTwoColumnCase's packed-column board: an across push
+        ((((0, 0), (1, 1)), ((2, 1), (4, 2)), ((2, 2), (4, 1))),
+         "step 1: two-columns pair=1 cols=(0, 1) slack=2 bend-row=0 bridge=(0,0)(0,1)(1,1)"
+         " top-rows=(0, 2, 4) into-block=2 in-block=0 pushes=(2, 1):down,(4, 1):across"
+         " matching="),
+        # its saturated-row board: a down push and a drain that matches a row
+        ((((1, 0), (2, 1)), ((4, 0), (0, 1)), ((3, 0), (4, 2))),
+         "step 1: two-columns pair=1 cols=(0, 1) slack=1 bend-row=1 bridge=(1,0)(1,1)(2,1)"
+         " top-rows=(1, 4) into-block=1 in-block=2 pushes=(4, 0):down matching=0->2"),
+    ], ids=["across-push", "matched-row"])
+    def test_two_column_trace_lines_are_pinned(self, pairs, first_line):
+        # recorded while the step record still stored its pushes, bend row
+        # and columns; render_trace now reads them off the bridge and the log
+        _, trace = solve(problem(4, 2, *pairs))
+        assert render_trace(trace).splitlines() == [
+            first_line, "step 2: transpose reason=narrow-side-first",
+            "step 3: single-row row=2 pairs=2"]
+
     @pytest.mark.parametrize("d1, d2, seed", [(2, 3, 1), (5, 4, 2), (8, 8, 3), (100, 100, 4)])
     def test_paths_hold_vertices_only(self, d1, d2, seed):
         # the case steps route on plain (r, c) tuples; a tuple that leaked
@@ -687,3 +715,59 @@ def test_each_move_starts_where_its_terminal_stands(p):
                 at[idx][side] = path[-1]
             assert at.pop(step.pair) == [step.bridge[0], step.bridge[-1]]
     assert replay(p, trace) == link
+
+
+def check_two_column_records(p) -> tuple[int, int, int]:
+    """Assert the facts render_trace derives a two-column step's fields from;
+    returns the counts of two-column steps, pushes and detours seen.
+
+    Every move starts in a block column.  The pushes, the moves that end
+    in one, come first, each from a top row to a low row in 2 or 3
+    cells.  The drain moves walk each plain block terminal out once, a
+    pushed one after its push, and the 3-cell ones are the matched rows.
+    """
+    link, trace = solve(p)
+    seen = [0, 0, 0]
+    for step in trace.steps:
+        if not isinstance(step, TwoColumnStep):
+            continue
+        cols = (step.bridge[0][1], step.bridge[-1][1])
+        assert all(path[0][1] in cols for _, _, path in step.moves)
+        in_block = [path[-1][1] in cols for _, _, path in step.moves]
+        assert in_block == sorted(in_block, reverse=True), "a push after a drain move"
+        pushed = [move for move, inside in zip(step.moves, in_block) if inside]
+        drains = [move for move, inside in zip(step.moves, in_block) if not inside]
+        for _, _, path in pushed:
+            assert len(path) in (2, 3)
+            assert path[0][0] in step.top_rows and path[-1][0] not in step.top_rows
+        assert all(len(path) in (2, 3) for _, _, path in drains)
+        drained = {(idx, side) for idx, side, _ in drains}
+        assert len(drained) == len(drains)
+        assert {(idx, side) for idx, side, _ in pushed} <= drained
+        detours = {path[0][0]: path[1][0] for _, _, path in drains if len(path) == 3}
+        assert step.matching == (detours if drains else None)
+        seen[0] += 1
+        seen[1] += len(pushed)
+        seen[2] += len(detours)
+    assert replay(p, trace) == link
+    return tuple(seen)
+
+
+@settings(deadline=None, max_examples=150)
+@given(bounded_problems(at_bound=True))
+def test_two_column_records_hold_what_the_trace_derives(p):
+    check_two_column_records(p)
+
+
+def test_two_column_records_hold_on_seeded_boards():
+    # a 31 x 31 board at the bound takes a two-column step on about half
+    # the seeds, and a push on almost none, so small boards supply those
+    rng = random.Random(31)
+    large = [check_two_column_records(_bounded(rng, 30, 30, 30)) for _ in range(40)]
+    small = []
+    for _ in range(300):
+        d1, d2 = rng.randint(2, 6), rng.randint(2, 6)
+        small.append(check_two_column_records(_bounded(rng, d1, d2, max_guaranteed_pairs(d1, d2))))
+    steps, _, detours = map(sum, zip(*large))
+    assert steps > 0 and detours > 0
+    assert min(map(sum, zip(*small))) > 0
