@@ -9,14 +9,16 @@ Each case step peels columns off the grid (transposing when rows are the
 better side to peel) and hands the smaller problem to the next step:
 
 * one active row: the grid is a clique and each pair is a direct edge;
-* two active rows: every terminal of one row steps down its column into
-  the other row, detouring through an empty column when the cell below
-  is taken, and the row clique finishes the job;
-* some pair shares a column: that pair is an edge; each other terminal
-  of the column steps across its own row, or through a spare row when
-  its own row is full, into its partner's column when that cell is
-  free (leaving a pair that shares a column for the next step) and into
-  the first free cell otherwise, and the column is deleted;
+* two active rows: every terminal of one row whose partner is not in
+  that row steps down its column into the other row, detouring through
+  an empty column when the cell below is taken, and the row clique
+  finishes the job;
+* some pair shares a column: that pair and every other pair inside the
+  column are edges; each other terminal of the column steps across its
+  own row, or through a spare row when its own row is full, into its
+  partner's column when that cell is free (leaving a pair that shares a
+  column for a later step) and into the first free cell otherwise, and
+  the column is deleted;
 * otherwise a pair spanning two columns is bridged inside them, the
   block terminals on rows that are full outside the two columns move
   first, each down its own block column into a free cell of a lower
@@ -38,7 +40,9 @@ which is handed the block's terminals to walk out and finds its own
 spare rows; no step uses the max-flow engine.  Each step logs its moves
 in the order made, and steps keep each pair's (s, t) order, so replay
 undoes a step's moves, last first, onto the later paths as they stand.
-A record keeps no fact its bridge or log holds: render_trace reads the
+A line-pair step records the other pairs it routes as edges beside its
+log, never in it, and replay sets them after undoing the moves.  A
+record keeps no fact its bridge or log holds: render_trace reads the
 block columns and bend row off the bridge, and the pushes, the moves
 that end in a block column, off the log.  The steps route on plain (r, c)
 tuples; the linkage is folded back out of the finished trace by the same
@@ -107,6 +111,7 @@ class LinePairStep:
     bridge: tuple[Cell, ...]
     staying: int  # terminals left outside the column
     moves: tuple  # (pair, side, path) in the order made; side 0 is s, 1 is t
+    edges: tuple  # (pair, (s, t)) for each other pair inside the column, in index order
 
 
 @dataclass(frozen=True)
@@ -142,17 +147,19 @@ def render_trace(trace: SolverTrace) -> str:
         elif isinstance(st, TwoRowsStep):
             lines.append(f"step {n}: two-rows target-row={st.target_row} pairs={len(st.paths)}")
         elif isinstance(st, LinePairStep):
+            edges = ",".join(f"{i + 1}:{_fmt_path(edge)}" for i, edge in st.edges) or "-"
             lines.append(
                 f"step {n}: pair-in-column pair={st.pair + 1} column={st.bridge[0][1]}"
-                f" bridge={_fmt_path(st.bridge)} moved={len(st.moves)} staying={st.staying}"
+                f" bridge={_fmt_path(st.bridge)} edges={edges} moved={len(st.moves)}"
+                f" staying={st.staying}"
             )
         else:
             cols = (st.bridge[0][1], st.bridge[-1][1])
             pushes = [path for _, _, path in st.moves if path[-1][1] in cols]
             shown = ",".join(f"{tuple(path[0])}:{'down' if len(path) == 2 else 'across'}"
                              for path in pushes) or "-"
-            matching = "-" if st.matching is None else ",".join(
-                f"{a}->{b}" for a, b in sorted(st.matching.items()))
+            matching = ",".join(
+                f"{a}->{b}" for a, b in sorted((st.matching or {}).items())) or "-"
             lines.append(
                 f"step {n}: two-columns pair={st.pair + 1} cols={cols} slack={st.slack}"
                 f" bend-row={st.bridge[-2][0]} bridge={_fmt_path(st.bridge)} top-rows={st.top_rows}"
@@ -355,36 +362,47 @@ def _finish(step, acc: dict[int, list[Cell]], cells) -> None:
             raise SolverInvariantError("a move does not meet its pair's later path")
         acc[idx] = [*path, *move[-2::-1]] if side else [*move[:-1], *path]
     acc[step.pair] = cells(step.bridge)
+    if isinstance(step, LinePairStep):
+        for idx, edge in step.edges:
+            acc[idx] = cells(edge)
 
 
 def _base_two_rows(board):
     # flipped, the top row is a one-column block drained into the target
-    # row; 2k <= len(cols) terminals leave at least as many columns with
-    # both cells free as columns with both cells taken, so every top
-    # terminal facing a taken cell finds a free column to detour through
+    # row, less the pairs inside it, which stay as edges; 2k <= len(cols)
+    # terminals leave at least as many columns with both cells free as
+    # columns with both cells taken, so every top terminal facing a taken
+    # cell finds a free column to detour through
     top, target = board.rows
     flipped = {flip(v): flip(w) for v, w in board.occupied.items()}
     drained, _ = drain_block(board.cols, (top,), (target,), flipped,
-                             [v for v in flipped if v[1] == top])
+                             [v for v, w in flipped.items() if v[1] == top != w[1]])
     stub = {flip(x): [flip(w) for w in path] for x, path in drained.items()}
     return TwoRowsStep(target, {idx: tuple(stub.get(s, [s]) + stub.get(t, [t])[::-1])
                                 for idx, (s, t) in board.pairs.items()})
 
 
 def _case_line_pair(board, i1):
-    # each other terminal of the column hops across its own row; one whose
-    # row is full detours through a spare row, and counting terminals
-    # against 2k <= d1' + d2' (with d2' >= 2) leaves enough spare rows
+    # every pair inside the column is an edge of its clique; each other
+    # terminal of the column hops across its own row, and one whose row is
+    # full detours through a spare row: counting terminals against
+    # 2k <= d1' + d2' (with d2' >= 2) leaves enough spare rows, and a row
+    # holding an edge was never spare.  The edges stay on the board while
+    # the drain runs, so no detour passes through them
     s1, t1 = board.pairs[i1]
     col0 = s1[1]
     del board.cols[col0]
-    drained, _ = drain_block(board.rows, (col0,), board.cols, board.occupied,
-                             board.by_col[col0] - {s1, t1})
+    column, occupied = board.by_col[col0], board.occupied
+    inside = sorted({board.idx_of[v] for v in column if occupied[v][1] == col0})
+    edges = tuple((i, board.pairs[i]) for i in inside if i != i1)
+    drained, _ = drain_block(board.rows, (col0,), board.cols, occupied,
+                             {v for v in column if occupied[v][1] != col0})
     for x, path in drained.items():
         board.relocate(x, path)
-    board.route(i1)
+    for i in inside:
+        board.route(i)
     staying = len(board.occupied) - len(drained)
-    return LinePairStep(i1, (s1, t1), staying, board.take_moves())
+    return LinePairStep(i1, (s1, t1), staying, board.take_moves(), edges)
 
 
 def _case_two_columns(board, i1):

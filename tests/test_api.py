@@ -55,7 +55,7 @@ STEP_FIELDS = {
     "TransposeStep": ("reason",),
     "SingleRowStep": ("row", "paths"),
     "TwoRowsStep": ("target_row", "paths"),
-    "LinePairStep": ("pair", "bridge", "staying", "moves"),
+    "LinePairStep": ("pair", "bridge", "staying", "moves", "edges"),
     "TwoColumnStep": ("pair", "slack", "bridge", "top_rows", "matching", "moves"),
 }
 

@@ -142,7 +142,7 @@ class TestCliSolve:
             "path 4: (0,3) (4,3) (4,2)\n"
             "step 1: two-columns pair=1 cols=(0, 1) slack=4 bend-row=1"
             " bridge=(1,0)(1,1)(2,1) top-rows=(0, 1) into-block=1 in-block=0"
-            " pushes=(0, 0):down matching=\n"
+            " pushes=(0, 0):down matching=-\n"
             "step 2: transpose reason=narrow-side-first\n"
             "step 3: two-rows target-row=3 pairs=3\n")
 

@@ -99,6 +99,14 @@ class TestTwoRowBase:
         assert link.paths == ((V(0, 0), V(0, 3), V(1, 3), V(1, 1)),
                               (V(1, 0), V(1, 2), V(0, 2)))
 
+    def test_top_row_pair_is_an_edge(self):
+        # both terminals of pair 0 sit in the top row, so they stay there
+        # as one edge while (0, 1) steps down its column past them
+        p = problem(1, 3, ((0, 0), (0, 2)), ((0, 1), (1, 3)))
+        link, trace = solve_and_check(p)
+        assert isinstance(trace.steps[0], TwoRowsStep)
+        assert link.paths == ((V(0, 0), V(0, 2)), (V(0, 1), V(1, 1), V(1, 3)))
+
     def test_two_cell_column_is_an_edge(self):
         # a 2 x 1 board is a clique on two cells and links its one pair
         link, _ = solve_and_check(problem(1, 0, ((0, 0), (1, 0))))
@@ -149,6 +157,22 @@ class TestPairInColumn:
             assert later.bridge[0][1] == column and later.moves == ()
         assert link.paths[1] == (V(1, 0), V(1, 3), V(2, 3))
         assert link.paths[2] == (V(2, 0), V(2, 4), V(0, 4))
+
+    def test_pairs_inside_the_column_are_routed_in_one_step(self):
+        # column 0 holds the routed pair, two more pairs and (6, 0): the
+        # step routes all three pairs as edges and moves only (6, 0), which
+        # hops into its partner's column
+        p = problem(6, 3, ((0, 0), (1, 0)), ((2, 0), (3, 0)), ((4, 0), (5, 0)),
+                    ((6, 0), (2, 3)))
+        link, trace = solve_and_check(p)
+        step = trace.steps[0]
+        assert isinstance(step, LinePairStep) and step.pair == 0
+        assert step.edges == ((1, (V(2, 0), V(3, 0))), (2, (V(4, 0), V(5, 0))))
+        assert step.moves == ((3, 0, (V(6, 0), V(6, 3))),)
+        assert link.paths[:3] == ((V(0, 0), V(1, 0)), (V(2, 0), V(3, 0)), (V(4, 0), V(5, 0)))
+        assert render_trace(trace).splitlines()[0] == (
+            "step 1: pair-in-column pair=1 column=0 bridge=(0,0)(1,0)"
+            " edges=2:(2,0)(3,0),3:(4,0)(5,0) moved=1 staying=1")
 
     def test_full_row_detours_through_a_spare_row(self, no_flow):
         # the mover (2, 0) finds row 2 full outside column 0, so it steps
@@ -328,7 +352,7 @@ class TestFinish:
     @staticmethod
     def finish(later, *moves):
         acc = {0: later}
-        _finish(LinePairStep(1, (V(1, 2), V(3, 2)), 0, moves), acc, tuple)
+        _finish(LinePairStep(1, (V(1, 2), V(3, 2)), 0, moves, ()), acc, tuple)
         return acc
 
     def test_moves_wrap_an_inner_path_from_s_to_t(self):
@@ -613,8 +637,8 @@ def _bounded(rng, d1, d2, k):
 class TestPinnedOutput:
     def test_seeded_mix_matches_recorded_digest(self):
         # linkages and traces of a seeded mix at the bound, hashed; the
-        # digest was recorded when drained terminals began to land in their
-        # partners' columns
+        # digest was recorded when a line-pair step began to route every
+        # pair inside its column
         rng = random.Random(4242)
         problems = []
         for _ in range(2000):
@@ -627,13 +651,13 @@ class TestPinnedOutput:
             digest.update(serialize_linkage(link.paths).encode())
             digest.update(render_trace(trace).encode())
         assert digest.hexdigest() == (
-            "d5bf5eb9020b7026dcde50a49d62d537ff4ea8ab691c117d4d9e61fee9173bf8")
+            "2cebf124a67e253b39d867f21a91b50dae13d452a65caa1528dbe8598bf003f9")
 
     def test_large_boards_match_recorded_digest(self):
         # boards past the seeded mix: two squares, two thin strips of
         # either orientation and a subgrid with gaps in its labels, all at
-        # the bound; the digest was recorded before the solver indexed its
-        # terminals by column and by pair
+        # the bound; the digest was recorded when a line-pair step began to
+        # route every pair inside its column
         rng = random.Random(2718)
         problems = [_bounded(rng, d1, d2, (d1 + d2) // 2)
                     for d1, d2 in ((200, 200), (300, 300), (20, 300), (300, 20))]
@@ -646,14 +670,14 @@ class TestPinnedOutput:
             digest.update(serialize_linkage(link.paths).encode())
             digest.update(render_trace(trace).encode())
         assert digest.hexdigest() == (
-            "7f2c3c6db9457aabf4bc25fbcb6b5cde03e4dac09fa19b9e984f0c71f660077f")
+            "f551ca4cac1ab97908600178a4dffa650a0894d97ab71e2a2f6f24cbb468682d")
 
     @pytest.mark.parametrize("pairs, first_line", [
         # TestTwoColumnCase's packed-column board: an across push
         ((((0, 0), (1, 1)), ((2, 1), (4, 2)), ((2, 2), (4, 1))),
          "step 1: two-columns pair=1 cols=(0, 1) slack=2 bend-row=0 bridge=(0,0)(0,1)(1,1)"
          " top-rows=(0, 2, 4) into-block=2 in-block=0 pushes=(2, 1):down,(4, 1):across"
-         " matching="),
+         " matching=-"),
         # its saturated-row board: a down push and a drain that matches a row
         ((((1, 0), (2, 1)), ((4, 0), (0, 1)), ((3, 0), (4, 2))),
          "step 1: two-columns pair=1 cols=(0, 1) slack=1 bend-row=1 bridge=(1,0)(1,1)(2,1)"
@@ -714,6 +738,8 @@ def test_each_move_starts_where_its_terminal_stands(p):
                 assert path[0] == at[idx][side]
                 at[idx][side] = path[-1]
             assert at.pop(step.pair) == [step.bridge[0], step.bridge[-1]]
+            for idx, edge in getattr(step, "edges", ()):
+                assert at.pop(idx) == list(edge)
     assert replay(p, trace) == link
 
 
@@ -771,3 +797,36 @@ def test_two_column_records_hold_on_seeded_boards():
     steps, _, detours = map(sum, zip(*large))
     assert steps > 0 and detours > 0
     assert min(map(sum, zip(*small))) > 0
+
+
+def check_line_pair_records(p) -> int:
+    """Assert that each line-pair step's edges are pairs inside its column
+    that no move of the step and no later step names; returns their count."""
+    link, trace = solve(p)
+    edges = 0
+    for n, step in enumerate(trace.steps):
+        if not isinstance(step, LinePairStep):
+            continue
+        column = step.bridge[0][1]
+        routed = {step.pair, *(idx for idx, _ in step.edges)}
+        assert [idx for idx, _ in step.edges] == sorted(routed - {step.pair})
+        assert all(v[1] == column for _, edge in step.edges for v in edge)
+        assert not routed & {idx for idx, _, _ in step.moves}
+        for later in trace.steps[n + 1:]:
+            named = {idx for idx, _, _ in getattr(later, "moves", ())}
+            named |= {getattr(later, "pair", None), *getattr(later, "paths", {})}
+            named |= {idx for idx, _ in getattr(later, "edges", ())}
+            assert not routed & named, (step, later)
+        edges += len(step.edges)
+    assert replay(p, trace) == link
+    return edges
+
+
+def test_line_pair_records_hold_on_seeded_boards():
+    # a 31 x 31 board at the bound routes many pairs as edges of a column
+    rng = random.Random(37)
+    large = [check_line_pair_records(_bounded(rng, 30, 30, 30)) for _ in range(20)]
+    for _ in range(300):
+        d1, d2 = rng.randint(2, 6), rng.randint(2, 6)
+        check_line_pair_records(_bounded(rng, d1, d2, max_guaranteed_pairs(d1, d2)))
+    assert min(large) > 0
