@@ -9,13 +9,14 @@ once into a cached table (vertices in lexicographic order, neighbour
 sets as int bitmasks), and the search is an iterative depth-first
 search over that table, so witness length is not bounded by the
 recursion limit.  find_infeasible_pairing is the one sweep engine: it
-feeds a stream of instances to exhaustive_solve under one node budget
-and stops at the first certified infeasible pairing.  The exhaustive
-stream holds one pairing per orbit of the board's symmetries (row and
-column permutations, and transposition on square boards); the other is
-a seeded sample of random_problem draws.  judged, the one worker pool,
-streams both this sweep and the CLI's fuzz campaign.  Nothing here
-imports the solver or the flow engine.
+feeds a stream of instances to exhaustive_solve under one node budget,
+verifies each feasible witness, and stops at the first certified
+infeasible pairing.  The exhaustive stream holds one pairing per orbit
+of the board's symmetries (row and column permutations, and
+transposition on square boards); the other is a seeded sample of
+random_problem draws.  judged, the one worker pool, streams both this
+sweep and the CLI's fuzz campaign.  Nothing here imports the solver or
+the flow engine.
 """
 
 from __future__ import annotations
@@ -468,6 +469,8 @@ def find_infeasible_pairing(d1: int, d2: int, k: int,
     means the grid really is k-linked; an exhausted budget or an empty
     sample proves nothing.  Each instance is charged only what the ones
     before it left, so the result never depends on the worker count.
+    Every feasible witness is checked by verify in this process, pooled
+    or not; one that fails raises ValueError.
     """
     grid = ProductGraph(d1, d2)
     if k < 0:
@@ -499,4 +502,8 @@ def find_infeasible_pairing(d1: int, d2: int, k: int,
         checked += 1
         if verdict.feasible is False:
             return SharpnessResult(problem, True, checked, spent)
+        if verdict.feasible:
+            report = verify(problem, verdict.witness)
+            if not report.ok:  # a bug in the search, never a verdict
+                raise ValueError(f"oracle witness fails verify: {report.reason}")
     return SharpnessResult(None, exhaustive, checked, spent)

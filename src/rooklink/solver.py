@@ -120,7 +120,7 @@ class TwoColumnStep:
     slack: int
     bridge: tuple[Cell, ...]
     top_rows: tuple[int, ...]
-    matching: dict[int, int] | None
+    matching: dict[int, int]
     moves: tuple  # as LinePairStep.moves
 
 
@@ -159,7 +159,7 @@ def render_trace(trace: SolverTrace) -> str:
             shown = ",".join(f"{tuple(path[0])}:{'down' if len(path) == 2 else 'across'}"
                              for path in pushes) or "-"
             matching = ",".join(
-                f"{a}->{b}" for a, b in sorted((st.matching or {}).items())) or "-"
+                f"{a}->{b}" for a, b in sorted(st.matching.items())) or "-"
             lines.append(
                 f"step {n}: two-columns pair={st.pair + 1} cols={cols} slack={st.slack}"
                 f" bend-row={st.bridge[-2][0]} bridge={_fmt_path(st.bridge)} top-rows={st.top_rows}"
@@ -173,9 +173,11 @@ def render_trace(trace: SolverTrace) -> str:
 # reusable routing pieces (each independently testable)
 
 
-def bridge_path(rows, block_cols, s: Cell, t: Cell, occupied) -> list[Cell]:
-    """An s-t path inside the two block columns whose interior avoids
-    every cell of occupied; every candidate's bend row is that of path[-2].
+def bridge_path(rows, s: Cell, t: Cell, occupied) -> list[Cell]:
+    """An s-t path inside the block columns, which are s's and t's, whose
+    interior avoids every cell of occupied.  Every candidate's bend row is
+    that of path[-2], and its two block cells are s, t or interior cells,
+    so no other terminal stands on it.
 
     The len(rows)-many candidates are internally disjoint: two bends of
     length two (through s's row, then t's row) and one path of length
@@ -184,9 +186,8 @@ def bridge_path(rows, block_cols, s: Cell, t: Cell, occupied) -> list[Cell]:
     so one candidate is free.
     """
     c_s, c_t = s[1], t[1]
-    if {c_s, c_t} != set(block_cols) or c_s == c_t or s[0] == t[0]:
-        raise SolverInvariantError(
-            "bridge endpoints must span the two block columns on distinct rows")
+    if c_s == c_t or s[0] == t[0]:
+        raise SolverInvariantError("bridge endpoints must lie in two columns on distinct rows")
     bends = ([s, (s[0], c_t), t], [s, (t[0], c_s), t])
     thirds = ([s, (r, c_s), (r, c_t), t] for r in rows if r != s[0] and r != t[0])
     for path in chain(bends, thirds):
@@ -411,18 +412,11 @@ def _case_two_columns(board, i1):
     block_cols = (s1[1], t1[1])
     del rest_cols[s1[1]], rest_cols[t1[1]]
     anchors = {s1, t1}
-    d1p = len(rows) - 1
-    block_terms = sorted(board.by_col[s1[1]] | board.by_col[t1[1]])
-    slack = d1p + 2 - len(block_terms)
-    if not 0 <= slack <= d1p:
-        raise SolverInvariantError("two-column occupancy out of range")
-    bridge = bridge_path(rows, block_cols, s1, t1, occupied.keys())
+    others = sorted((board.by_col[s1[1]] | board.by_col[t1[1]]) - anchors)
+    slack = len(rows) - 1 - len(others)  # >= 0, as _next_step transposes an overflow
+    bridge = bridge_path(rows, s1, t1, occupied.keys())
     bend = bridge[-2][0]
-    others = [v for v in block_terms if v not in anchors]
-    if any(v[0] == bend for v in others):
-        raise SolverInvariantError("plain terminal on the bridge row")
 
-    matching = None
     # The saturated rows never outnumber the slack: 2k <= d1' + d2' leaves
     # at most d2' - 2 + slack terminals outside the block, a full row takes
     # d2' - 1 of them, and slack + 1 full rows would need
@@ -436,7 +430,7 @@ def _case_two_columns(board, i1):
     # across its row, so it steps down its own block column to the lowest
     # free low cell, or, when that column is packed, across to its
     # row-mate cell and down the other column
-    movers = sorted(v for v in others if v[0] in top_rows)
+    movers = [v for v in others if v[0] in top_rows]
     for x in movers:
         mate = (x[0], block_cols[1] if x[1] == block_cols[0] else block_cols[0])
         for path in ([x], [x, mate]):
@@ -461,15 +455,11 @@ def _case_two_columns(board, i1):
             raise SolverInvariantError(f"mover {tuple(x)} has no reachable low-block cell")
         path.append((down, c))
         board.relocate(x, path)
-    if others:
-        # every plain block terminal now sits on a low row
-        for r in low_rows:
-            if all((r, c) in occupied for c in rest_cols):
-                raise SolverInvariantError("destination row saturated after relabeling")
-        plain = (board.by_col[s1[1]] | board.by_col[t1[1]]) - anchors
-        drained, matching = drain_block(low_rows, block_cols, rest_cols, occupied, plain)
-        for cur in sorted(drained):
-            board.relocate(cur, drained[cur])
+    # every plain block terminal now sits on a low row
+    plain = (board.by_col[s1[1]] | board.by_col[t1[1]]) - anchors
+    drained, matching = drain_block(low_rows, block_cols, rest_cols, occupied, plain)
+    for cur in sorted(drained):
+        board.relocate(cur, drained[cur])
     if board.by_col[s1[1]] | board.by_col[t1[1]] != anchors:
         raise SolverInvariantError("a terminal was left behind in the deleted columns")
     board.route(i1)

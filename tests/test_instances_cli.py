@@ -422,6 +422,14 @@ class TestCliSharpness:
         assert capsys.readouterr().out == pinned
         assert made == [2]
 
+    def test_witness_failing_verify_exits_4_with_nothing_printed(self, capsys, monkeypatch):
+        monkeypatch.setattr(rooklink.oracle, "verify",
+                            lambda problem, linkage: VerifyReport(False, "injected"))
+        assert main(["sharpness", "2", "4", "--k", "3"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: oracle witness fails verify: injected\n"
+
     def test_default_budget_ends_a_long_hunt_in_exit_3(self, capsys, monkeypatch):
         # the 3,595-node sweep runs past a small default budget, which
         # --budget still overrides
@@ -469,6 +477,18 @@ class TestCliFuzz:
     def test_smaller_k_flag(self, capsys):
         assert main(["fuzz", "--count", "10", "--seed", "2", "--k", "1"]) == 0
         assert "verifier-passes=10" in capsys.readouterr().out
+
+    def test_k_past_every_bound_changes_nothing(self, capsys):
+        # --k only caps each board's pair count at its bound
+        assert main(["fuzz", "--count", "20", "--seed", "3"]) == 0
+        uncapped = capsys.readouterr().out
+        assert main(["fuzz", "--count", "20", "--seed", "3", "--k", "99"]) == 0
+        assert capsys.readouterr().out == uncapped
+
+    def test_zero_k_takes_no_step(self, capsys):
+        assert main(["fuzz", "--count", "10", "--seed", "2", "--k", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "verifier-passes=10" in out and "max-trace-depth=0" in out
 
     def test_worker_pool_matches_sequential(self, capsys):
         main(["fuzz", "--count", "12", "--seed", "5"])

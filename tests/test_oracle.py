@@ -11,7 +11,7 @@ from rooklink.oracle import judged
 from helpers import (brute_linkable, brute_orbit_count, corner_instances, fake_pool,
                      pairing_images, symmetry_tables)
 from rooklink import (Linkage, LinkageProblem, ProblemContractError, ProductGraph,
-                      Subgrid, Vertex,
+                      Subgrid, Vertex, VerifyReport,
                       all_pairings, exhaustive_solve, find_infeasible_pairing,
                       max_guaranteed_pairs, random_pairing, verify)
 
@@ -360,6 +360,26 @@ class TestSharpness:
         monkeypatch.setattr(rooklink.oracle, "exhaustive_solve", counting)
         res = find_infeasible_pairing(2, 3, 3)
         assert len(calls) == res.instances_checked == 5
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_witness_is_verified_in_this_process(self, monkeypatch, workers):
+        # the (2,4,3) sweep finds all 182 orbits feasible; a pooled hunt
+        # hands each witness back, and a witness that fails verify is a bug
+        fake_pool(monkeypatch, cores=2)
+        calls = []
+
+        def counting(problem, linkage):
+            calls.append(problem)
+            return verify(problem, linkage)
+
+        monkeypatch.setattr(rooklink.oracle, "verify", counting)
+        res = find_infeasible_pairing(2, 4, 3, workers=workers)
+        assert res.completed and res.found is None
+        assert len(calls) == res.instances_checked == 182
+        monkeypatch.setattr(rooklink.oracle, "verify",
+                            lambda problem, linkage: VerifyReport(False, "injected"))
+        with pytest.raises(ValueError, match="oracle witness fails verify: injected"):
+            find_infeasible_pairing(2, 4, 3, workers=workers)
 
     def test_zero_pairs_is_trivially_linked(self):
         for exhaustive in (None, True, False):

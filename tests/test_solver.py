@@ -209,33 +209,48 @@ class TestBridge:
         s, t = V(1, 0), V(2, 1)
         blocked, bends = set(), []
         for _ in range(3):
-            path = bridge_path((0, 1, 2), (0, 1), s, t, blocked)
+            path = bridge_path((0, 1, 2), s, t, blocked)
             bends.append(path[-2][0])
             blocked.add(path[1])
         assert bends == [1, 2, 0]
         with pytest.raises(SolverInvariantError):
-            bridge_path((0, 1, 2), (0, 1), s, t, blocked)
+            bridge_path((0, 1, 2), s, t, blocked)
 
-    @pytest.mark.parametrize("s, t", [((1, 0), (2, 0)), ((1, 0), (1, 1)), ((1, 0), (2, 3))])
+    @pytest.mark.parametrize("rows, s, t", [((0, 1, 2), (1, 0), (2, 1)),
+                                            ((0, 2, 5, 7), (7, 4), (2, 1)),
+                                            ((3, 4, 6, 8, 9), (3, 0), (9, 5))])
+    def test_bend_row_meets_the_block_only_at_ends_or_interior(self, rows, s, t):
+        # on every candidate, in the order tried, so no plain block
+        # terminal can sit on the bend row of the bridge the solver takes
+        blocked = set()
+        for _ in rows:
+            path = bridge_path(rows, s, t, blocked)
+            bend = path[-2][0]
+            assert {(bend, s[1]), (bend, t[1])} <= {s, t, *path[1:-1]}
+            blocked.add(path[1])
+        with pytest.raises(SolverInvariantError):
+            bridge_path(rows, s, t, blocked)
+
+    @pytest.mark.parametrize("s, t", [((1, 0), (2, 0)), ((1, 0), (1, 1))])
     def test_bad_endpoints_are_an_internal_error(self, s, t):
         with pytest.raises(SolverInvariantError):
-            bridge_path((0, 1, 2), (0, 1), V(*s), V(*t), set())
+            bridge_path((0, 1, 2), V(*s), V(*t), set())
 
     def test_shortest_candidate_preferred(self):
-        path = bridge_path((0, 1, 2, 3), (0, 1), V(1, 0), V(2, 1), set())
+        path = bridge_path((0, 1, 2, 3), V(1, 0), V(2, 1), set())
         assert path == [V(1, 0), V(1, 1), V(2, 1)]
         assert path[-2][0] == 1
 
     def test_blockers_force_detour_row(self):
         occupied = {V(1, 0), V(2, 1), V(1, 1), V(2, 0)}
-        path = bridge_path((0, 1, 2, 3), (0, 1), V(1, 0), V(2, 1), occupied)
+        path = bridge_path((0, 1, 2, 3), V(1, 0), V(2, 1), occupied)
         assert path == [V(1, 0), V(0, 0), V(0, 1), V(2, 1)]
         assert path[-2][0] == 0
 
     def test_all_candidates_blocked_panics(self):
         occupied = {V(0, 0), V(1, 1), V(0, 1), V(1, 0)}
         with pytest.raises(SolverInvariantError):
-            bridge_path((0, 1), (0, 1), V(0, 0), V(1, 1), occupied)
+            bridge_path((0, 1), V(0, 0), V(1, 1), occupied)
 
 
 class TestDoubledRowMatching:
@@ -747,10 +762,11 @@ def check_two_column_records(p) -> tuple[int, int, int]:
     """Assert the facts render_trace derives a two-column step's fields from;
     returns the counts of two-column steps, pushes and detours seen.
 
-    Every move starts in a block column.  The pushes, the moves that end
-    in one, come first, each from a top row to a low row in 2 or 3
-    cells.  The drain moves walk each plain block terminal out once, a
-    pushed one after its push, and the 3-cell ones are the matched rows.
+    Every move starts in a block column, off the bend row.  The pushes,
+    the moves that end in one, come first, each from a top row to a low
+    row in 2 or 3 cells.  The drain moves walk each plain block terminal
+    out once, a pushed one after its push, and the 3-cell ones are the
+    matched rows.
     """
     link, trace = solve(p)
     seen = [0, 0, 0]
@@ -758,7 +774,8 @@ def check_two_column_records(p) -> tuple[int, int, int]:
         if not isinstance(step, TwoColumnStep):
             continue
         cols = (step.bridge[0][1], step.bridge[-1][1])
-        assert all(path[0][1] in cols for _, _, path in step.moves)
+        assert all(path[0][1] in cols and path[0][0] != step.bridge[-2][0]
+                   for _, _, path in step.moves)
         in_block = [path[-1][1] in cols for _, _, path in step.moves]
         assert in_block == sorted(in_block, reverse=True), "a push after a drain move"
         pushed = [move for move, inside in zip(step.moves, in_block) if inside]
@@ -771,7 +788,7 @@ def check_two_column_records(p) -> tuple[int, int, int]:
         assert len(drained) == len(drains)
         assert {(idx, side) for idx, side, _ in pushed} <= drained
         detours = {path[0][0]: path[1][0] for _, _, path in drains if len(path) == 3}
-        assert step.matching == (detours if drains else None)
+        assert step.matching == detours
         seen[0] += 1
         seen[1] += len(pushed)
         seen[2] += len(detours)
