@@ -31,22 +31,23 @@ better side to peel) and hands the smaller problem to the next step:
 
 The steps run in a loop, not by recursion, on one _Board that each step
 updates for the cells it moves only.  It keeps the active lines as
-ordered sets, indexes the terminals by column and by pair (a map from
-each terminal's cell to its partner's, whose keys are the occupied
+ordered sets, indexes the terminals by row, by column and by pair (a map
+from each terminal's cell to its partner's, whose keys are the occupied
 cells) and keeps a heap of the pairs that share a line, so a step reads
-only its block's columns and the pairs it moves; only a transpose
-re-indexes every live pair.  Every evacuation is one call to drain_block,
-which is handed the block's terminals to walk out and finds its own
-spare rows; no step uses the max-flow engine.  Each step logs its moves
-in the order made, and steps keep each pair's (s, t) order, so replay
-undoes a step's moves, last first, onto the later paths as they stand.
-A line-pair step records the other pairs it routes as edges beside its
-log, never in it, and replay sets them after undoing the moves.  A
-record keeps no fact its bridge or log holds: render_trace reads the
-block columns and bend row off the bridge, and the pushes, the moves
-that end in a block column, off the log.  The steps route on plain (r, c)
-tuples; the linkage is folded back out of the finished trace by the same
-code that replays it, and replay builds its Vertex objects.
+only its block's lines, the pairs it moves and the rows' counts; a
+transpose swaps the line indexes and re-keys the pairs in one pass.
+Every evacuation is one call to drain_block, which is handed the block's
+terminals to walk out and finds its own spare rows; no step uses the
+max-flow engine.  Each step logs its moves in the order made, and steps
+keep each pair's (s, t) order, so replay undoes a step's moves, last
+first, onto the later paths as they stand.  A line-pair step records the
+other pairs it routes as edges beside its log, never in it, and replay
+sets them after undoing the moves.  A record keeps no fact its bridge or
+log holds: render_trace reads the block columns and bend row off the
+bridge, and the pushes, the moves that end in a block column, off the
+log.  The steps route on plain (r, c) tuples; the linkage is folded back
+out of the finished trace by the same code that replays it, and replay
+builds its Vertex objects.
 
 Internal failures raise SolverInvariantError carrying the trace: the
 construction cannot fail on a legal input, so a failure is a bug, never
@@ -242,13 +243,13 @@ def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
     plain_rows: dict[int, list[Cell]] = {}  # in label order
     for x in sorted(plain):
         plain_rows.setdefault(x[0], []).append(x)
-    needy = [r for r, xs in plain_rows.items()
-             if len(xs) > 1 or _free_dest(r, dest_cols, occupied) is None]
+    free = {r: _free_dest(r, dest_cols, occupied) for r in plain_rows}  # found once
+    needy = [r for r, xs in plain_rows.items() if len(xs) > 1 or free[r] is None]
     matching = {}
     if needy:
         spares = list(islice((r for r in sorted(rows) if r not in plain_rows
                               and any((r, c) not in occupied for c in block_cols)
-                              and _free_dest(r, dest_cols, occupied) is not None), len(needy)))
+                              and free.setdefault(r, _free_dest(r, dest_cols, occupied))), len(needy)))
         if len(spares) < len(needy):
             raise SolverInvariantError("rows needing a detour outnumber spare rows")
         matching = dict(zip(needy, spares))
@@ -257,10 +258,9 @@ def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
         c = occupied[x][1]
         if c in dest_cols and (r, c) not in occupied:
             return r, c
-        w = _free_dest(r, dest_cols, occupied)
-        if w is None:
+        if free[r] is None:
             raise SolverInvariantError(f"no free destination entry in row {r}")
-        return w
+        return free[r]
 
     out = {}
     for r, xs in plain_rows.items():
@@ -286,27 +286,34 @@ def _aligned(s: Cell, t: Cell) -> bool:
 
 
 class _Board:
-    """The active lines (ordered sets) and live pairs of a solve, and
-    their indexes: occupied, by_col, idx_of and the heap aligned.
-
-    pairs stays in index order; aligned may hold stale indices, which
-    first_aligned drops; moves logs this step's moves in the order made.
+    """The active lines (ordered sets) and live pairs of a solve, and their
+    indexes: occupied, idx_of, the line indexes by_row and by_col (by_row[r]
+    holds c for each terminal (r, c), or is empty) and the heap aligned,
+    whose stale indices first_aligned drops.  pairs stays in index order;
+    moves logs this step's moves in the order made.
     """
 
     def __init__(self, rows, cols, pairs) -> None:
         self.rows, self.cols = dict.fromkeys(rows), dict.fromkeys(cols)
-        self.pairs = dict(enumerate(pairs))
-        # ascending, so already a heap
-        self.aligned = [i for i, (s, t) in self.pairs.items() if _aligned(s, t)]
+        self.by_row, self.by_col = defaultdict(set), defaultdict(set)
+        self._index(enumerate(pairs), mirror=False)
+        self.aligned = [i for i, (s, t) in self.pairs.items() if _aligned(s, t)]  # ascending: a heap
         self.moves: list[tuple] = []
-        self._index()
 
-    def _index(self) -> None:
-        self.occupied = {v: w for s, t in self.pairs.values() for v, w in ((s, t), (t, s))}
-        self.idx_of = {v: idx for idx, pair in self.pairs.items() for v in pair}
-        self.by_col: dict[int, set[Cell]] = defaultdict(set)
-        for v in self.occupied:
-            self.by_col[v[1]].add(v)
+    def _index(self, pairs, mirror: bool) -> None:
+        """Key the pairs by plain cell in one pass; mirror them, or (new board) index their lines."""
+        self.pairs, self.occupied, self.idx_of = live, occupied, idx_of = {}, {}, {}
+        for idx, ((a, b), (c, d)) in pairs:
+            if mirror:
+                a, b, c, d = b, a, d, c
+            else:
+                self.by_row[a].add(b)
+                self.by_col[b].add(a)
+                self.by_row[c].add(d)
+                self.by_col[d].add(c)
+            live[idx] = s, t = (a, b), (c, d)
+            occupied[s], occupied[t] = t, s
+            idx_of[s] = idx_of[t] = idx
 
     def first_aligned(self) -> int | None:
         """The lowest index of a live pair on one row or one column."""
@@ -321,33 +328,29 @@ class _Board:
     def relocate(self, x: Cell, path: list[Cell]) -> None:
         """Move the terminal at x along path to its free last cell; log the move."""
         y = path[-1]
-        partner = self.occupied.pop(x)
-        self.occupied[y], self.occupied[partner] = partner, y
-        self.by_col[x[1]].discard(x)
-        self.by_col[y[1]].add(y)
+        partner = self.occupied[y] = self.occupied.pop(x)
+        self.occupied[partner] = y
+        self.by_row[x[0]].discard(x[1])
+        self.by_col[x[1]].discard(x[0])
+        self.by_row[y[0]].add(y[1])
+        self.by_col[y[1]].add(y[0])
         self.idx_of[y] = idx = self.idx_of.pop(x)
-        s, t = self.pairs[idx]
-        side = 0 if x == s else 1
+        side = 0 if x == self.pairs[idx][0] else 1
         self.moves.append((idx, side, tuple(path)))
-        s, t = self.pairs[idx] = (y, t) if side == 0 else (s, y)
-        if _aligned(s, t):
+        self.pairs[idx] = (y, partner) if side == 0 else (partner, y)
+        if _aligned(y, partner):
             heappush(self.aligned, idx)
-
-    def take_moves(self) -> tuple:
-        """This step's moves, in the order made; clears them."""
-        moves, self.moves = tuple(self.moves), []
-        return moves
 
     def route(self, idx: int) -> None:
         """Take the routed pair idx off the board."""
         for v in self.pairs.pop(idx):
             del self.occupied[v], self.idx_of[v]
-            self.by_col[v[1]].discard(v)
+            self.by_row[v[0]].discard(v[1])
+            self.by_col[v[1]].discard(v[0])
 
     def transpose(self, reason: str) -> TransposeStep:
-        self.rows, self.cols = self.cols, self.rows
-        self.pairs = {i: (flip(s), flip(t)) for i, (s, t) in self.pairs.items()}
-        self._index()
+        self.rows, self.cols, self.by_row, self.by_col = self.cols, self.rows, self.by_col, self.by_row
+        self._index(self.pairs.items(), mirror=True)
         return TransposeStep(reason)
 
 
@@ -393,17 +396,21 @@ def _case_line_pair(board, i1):
     s1, t1 = board.pairs[i1]
     col0 = s1[1]
     del board.cols[col0]
-    column, occupied = board.by_col[col0], board.occupied
-    inside = sorted({board.idx_of[v] for v in column if occupied[v][1] == col0})
-    edges = tuple((i, board.pairs[i]) for i in inside if i != i1)
-    drained, _ = drain_block(board.rows, (col0,), board.cols, occupied,
-                             {v for v in column if occupied[v][1] != col0})
+    inside, plain = [], []  # an inside pair is listed at its upper terminal
+    for r in board.by_col[col0]:
+        w = board.occupied[r, col0]
+        if w[1] != col0:
+            plain.append((r, col0))
+        elif r < w[0]:
+            inside.append(board.idx_of[w])
+    edges = tuple([(i, board.pairs[i]) for i in sorted(inside) if i != i1])
+    drained, _ = drain_block(board.rows, (col0,), board.cols, board.occupied, plain)
     for x, path in drained.items():
         board.relocate(x, path)
     for i in inside:
         board.route(i)
-    staying = len(board.occupied) - len(drained)
-    return LinePairStep(i1, (s1, t1), staying, board.take_moves(), edges)
+    moves, board.moves = tuple(board.moves), []
+    return LinePairStep(i1, (s1, t1), len(board.occupied) - len(drained), moves, edges)
 
 
 def _case_two_columns(board, i1):
@@ -412,7 +419,7 @@ def _case_two_columns(board, i1):
     block_cols = (s1[1], t1[1])
     del rest_cols[s1[1]], rest_cols[t1[1]]
     anchors = {s1, t1}
-    others = sorted((board.by_col[s1[1]] | board.by_col[t1[1]]) - anchors)
+    others = sorted({(r, c) for c in block_cols for r in board.by_col[c]} - anchors)
     slack = len(rows) - 1 - len(others)  # >= 0, as _next_step transposes an overflow
     bridge = bridge_path(rows, s1, t1, occupied.keys())
     bend = bridge[-2][0]
@@ -421,7 +428,9 @@ def _case_two_columns(board, i1):
     # at most d2' - 2 + slack terminals outside the block, a full row takes
     # d2' - 1 of them, and slack + 1 full rows would need
     # slack * (d2' - 2) < 0 (this case runs on at least three columns).
-    full_rows = tuple(r for r in rows if all((r, c) in occupied for c in rest_cols))
+    n = len(rest_cols)  # the row index counts block cells too
+    full_rows = tuple(r for r, cols in board.by_row.items()
+                      if len(cols) >= n and len(cols.difference(block_cols)) == n)
     if len(full_rows) > slack:
         raise SolverInvariantError("more saturated rows than the occupancy slack allows")
     top_rows = tuple(sorted({bend, *full_rows}))
@@ -456,14 +465,15 @@ def _case_two_columns(board, i1):
         path.append((down, c))
         board.relocate(x, path)
     # every plain block terminal now sits on a low row
-    plain = (board.by_col[s1[1]] | board.by_col[t1[1]]) - anchors
+    plain = {(r, c) for c in block_cols for r in board.by_col[c]} - anchors
     drained, matching = drain_block(low_rows, block_cols, rest_cols, occupied, plain)
     for cur in sorted(drained):
         board.relocate(cur, drained[cur])
-    if board.by_col[s1[1]] | board.by_col[t1[1]] != anchors:
+    if board.by_col[s1[1]] != {s1[0]} or board.by_col[t1[1]] != {t1[0]}:
         raise SolverInvariantError("a terminal was left behind in the deleted columns")
     board.route(i1)
-    return TwoColumnStep(i1, slack, tuple(bridge), top_rows, matching, board.take_moves())
+    moves, board.moves = tuple(board.moves), []
+    return TwoColumnStep(i1, slack, tuple(bridge), top_rows, matching, moves)
 
 
 def _next_step(board, steps):

@@ -4,6 +4,7 @@ import itertools
 import random
 import statistics
 import sys
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,9 @@ from rooklink import (LinkageProblem, ProblemContractError, ProductGraph,
                       replay, serialize_linkage, solve, verify)
 import rooklink.menger
 import rooklink.solver
-from rooklink.solver import (LinePairStep, TransposeStep, TwoColumnStep, TwoRowsStep,
-                             _finish, bridge_path, drain_block)
+from rooklink.solver import (LinePairStep, SingleRowStep, SolverTrace, TransposeStep,
+                             TwoColumnStep, TwoRowsStep, _Board, _finish, _next_step,
+                             bridge_path, drain_block)
 
 from helpers import routing_margin_holds
 
@@ -706,6 +708,23 @@ class TestPinnedOutput:
             first_line, "step 2: transpose reason=narrow-side-first",
             "step 3: single-row row=2 pairs=2"]
 
+    def test_row_filled_by_earlier_moves_reads_as_full(self):
+        # step 1 moves (6, 2) to (6, 5), and steps 1 and 2 move (5, 2) on to
+        # (5, 5), so at step 3 rows 5 and 6 are full outside block columns 6
+        # and 7 only through those moves: the row index kept by relocate
+        # marks them as top rows and pushes their column-6 terminals down.
+        # Recorded while the step still scanned every row against every
+        # column outside the block
+        pairs = (((0, 2), (4, 1)), ((1, 2), (6, 0)), ((3, 6), (5, 7)), ((5, 2), (6, 4)),
+                 ((5, 3), (6, 6)), ((5, 4), (6, 2)), ((5, 6), (6, 3)))
+        _, trace = solve_and_check(problem(7, 7, *pairs))
+        ends = [path[-1] for step in trace.steps[:2] for _, _, path in step.moves]
+        assert {(5, 5), (6, 5)} <= set(ends)
+        assert render_trace(trace).splitlines()[2] == (
+            "step 3: two-columns pair=3 cols=(6, 7) slack=5 bend-row=3 bridge=(3,6)(3,7)(5,7)"
+            " top-rows=(3, 5, 6) into-block=2 in-block=0 pushes=(5, 6):down,(6, 6):down"
+            " matching=-")
+
     @pytest.mark.parametrize("d1, d2, seed", [(2, 3, 1), (5, 4, 2), (8, 8, 3), (100, 100, 4)])
     def test_paths_hold_vertices_only(self, d1, d2, seed):
         # the case steps route on plain (r, c) tuples; a tuple that leaked
@@ -847,3 +866,43 @@ def test_line_pair_records_hold_on_seeded_boards():
         d1, d2 = rng.randint(2, 6), rng.randint(2, 6)
         check_line_pair_records(_bounded(rng, d1, d2, max_guaranteed_pairs(d1, d2)))
     assert min(large) > 0
+
+
+def check_board_indexes(p) -> Counter:
+    """Step p's board as solve does and, after every step, compare its
+    indexes with a fresh rebuild from its live pairs; returns the counts of
+    the step kinds taken."""
+    sub = p.subgrid
+    board, steps = _Board(sub.rows, sub.cols, p.pairs), []
+    while board.pairs:
+        steps.append(_next_step(board, steps))
+        if isinstance(steps[-1], (SingleRowStep, TwoRowsStep)):
+            break
+        occupied = {v: w for s, t in board.pairs.values() for v, w in ((s, t), (t, s))}
+        assert board.occupied == occupied
+        assert board.idx_of == {v: i for i, pair in board.pairs.items() for v in pair}
+        by_row, by_col = defaultdict(set), defaultdict(set)
+        for r, c in occupied:
+            assert r in board.rows and c in board.cols
+            by_row[r].add(c)
+            by_col[c].add(r)
+        assert {r: cs for r, cs in board.by_row.items() if cs} == by_row
+        assert {c: rs for c, rs in board.by_col.items() if rs} == by_col
+        aligned = {i for i, (s, t) in board.pairs.items() if s[0] == t[0] or s[1] == t[1]}
+        assert aligned <= set(board.aligned)
+    assert SolverTrace(tuple(steps)) == solve(p)[1]
+    return Counter(type(step).__name__ for step in steps)
+
+
+def test_board_indexes_match_a_fresh_rebuild_after_every_step():
+    # relocate, route and transpose keep the indexes; squares at the bound
+    # and a small mix that takes transposes and two-column steps
+    rng = random.Random(53)
+    kinds = Counter()
+    for d, count in ((30, 6), (100, 2)):
+        for _ in range(count):
+            kinds += check_board_indexes(_bounded(rng, d, d, d))
+    for _ in range(300):
+        d1, d2 = rng.randint(2, 8), rng.randint(2, 8)
+        kinds += check_board_indexes(_bounded(rng, d1, d2, max_guaranteed_pairs(d1, d2)))
+    assert min(kinds[name] for name in ("TransposeStep", "TwoColumnStep", "LinePairStep")) > 0
