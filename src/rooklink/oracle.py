@@ -69,32 +69,36 @@ class SharpnessResult:
 
 
 def verify(problem: LinkageProblem, linkage: Linkage) -> VerifyReport:
-    """Check a linkage against the problem; names the first violation."""
-    sub = problem.subgrid
-    pairs = problem.pairs
-    paths = linkage.paths
+    """Check a linkage against the problem; names the first violation.
+
+    Each path is walked once against the subgrid's label sets; a path's
+    endpoints rank first, then its activity, adjacency and simplicity, and
+    disjointness is reported only once every path passes those."""
+    sub, pairs, paths = problem.subgrid, problem.pairs, linkage.paths
+    rows, cols = sub._row_set, sub._col_set  # the label sets, kept private to the package
     if len(paths) != len(pairs):
         return VerifyReport(False, f"path count: expected {len(pairs)}, got {len(paths)}")
-    for i, (pair, path) in enumerate(zip(pairs, paths), start=1):
+    seen, clash = {}, None  # seen: each vertex's latest path
+    for i, ((s, t), path) in enumerate(zip(pairs, paths), start=1):
         if not path:
             return VerifyReport(False, f"path {i} is empty")
-        if {path[0], path[-1]} != set(pair):
+        if not (path[0] == s and path[-1] == t or path[0] == t and path[-1] == s):
             return VerifyReport(False, f"endpoints: path {i} does not join its pair")
+        step = repeat = u = None
         for v in path:
-            if not sub.contains(v):
+            if v[0] not in rows or v[1] not in cols:
                 return VerifyReport(False, f"activity: path {i} uses inactive vertex {tuple(v)}")
-        for u, v in zip(path, path[1:]):
-            if u == v or (u[0] != v[0] and u[1] != v[1]):
-                return VerifyReport(False, f"adjacency: path {i} step {tuple(u)} -> {tuple(v)}")
-        if len(set(path)) != len(path):
-            return VerifyReport(False, f"simplicity: path {i} repeats a vertex")
-    seen: dict[Vertex, int] = {}
-    for i, path in enumerate(paths, start=1):
-        for v in path:
-            if v in seen:
-                return VerifyReport(False, f"disjointness: vertex {tuple(v)} on paths {seen[v]} and {i}")
-            seen[v] = i
-    return VerifyReport(True)
+            if u is not None and step is None and (u == v or u[0] != v[0] and u[1] != v[1]):
+                step = f"adjacency: path {i} step {tuple(u)} -> {tuple(v)}"
+            j = seen.get(v)
+            if j == i:
+                repeat = f"simplicity: path {i} repeats a vertex"
+            elif j is not None and clash is None:
+                clash = f"disjointness: vertex {tuple(v)} on paths {j} and {i}"
+            seen[v], u = i, v
+        if step or repeat:
+            return VerifyReport(False, step or repeat)
+    return VerifyReport(False, clash) if clash else VerifyReport(True)
 
 
 @lru_cache(maxsize=64)

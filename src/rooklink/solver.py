@@ -31,11 +31,13 @@ better side to peel) and hands the smaller problem to the next step:
 
 The steps run in a loop, not by recursion, on one _Board that each step
 updates for the cells it moves only.  It keeps the active lines as
-ordered sets, indexes the terminals by row, by column and by pair (a map
-from each terminal's cell to its partner's, whose keys are the occupied
-cells) and keeps a heap of the pairs that share a line, so a step reads
-only its block's lines, the pairs it moves and the rows' counts; a
-transpose swaps the line indexes and re-keys the pairs in one pass.
+ordered sets in label order, indexes the terminals by row, by column and
+by pair (a map from each terminal's cell to its partner's, whose keys are
+the occupied cells) and keeps a heap of the pairs that share a line, so a
+step reads only its block's lines and the pairs it moves: a two-column
+step finds the rows full outside its block among one rest column's rows,
+and walks the others lazily, in label order; a transpose swaps the line
+indexes and re-keys the pairs in one pass.
 Every evacuation is one call to drain_block, which is handed the block's
 terminals to walk out and finds its own spare rows; no step uses the
 max-flow engine.  Each step logs its moves in the order made, and steps
@@ -60,7 +62,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from itertools import chain, islice
+from itertools import chain
 
 from .grid import Vertex, flip
 from .menger import disjoint_paths  # unused; perfbench/tracing.py wraps this name
@@ -204,35 +206,57 @@ def _free_dest(r: int, dest_cols, occupied) -> Cell | None:
     return None
 
 
+def _end(r: int, x: Cell, free: Cell | None, dest_cols, occupied) -> Cell:
+    """x's end in row r: its partner's column's entry if free, else free."""
+    c = occupied[x][1]
+    if c in dest_cols and (r, c) not in occupied:
+        return r, c
+    if free is None:
+        raise SolverInvariantError(f"no free destination entry in row {r}")
+    return free
+
+
+def _detour(xs: list[Cell], spare: int, block_cols, occupied) -> list[Cell] | None:
+    """The detour of xs, one row's plain terminals, as drain_block picks it, or None."""
+    for c in block_cols:
+        for x in xs:
+            if x[1] == c and (spare, c) not in occupied:
+                return [x, (spare, c)]
+    r, c0 = xs[0]
+    for c in block_cols:  # a lone terminal may cross to its free row-mate cell first
+        if len(xs) == 1 and c != c0 and (r, c) not in occupied and (spare, c) not in occupied:
+            return [xs[0], (r, c), (spare, c)]
+
+
 def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
                 plain) -> tuple[dict[Cell, list[Cell]], dict[int, int]]:
     """Walk the plain terminals out of the block into the destination
     columns; the block is one or two columns wide.  occupied maps each
     terminal's cell to its partner's cell (its keys are the occupied
-    cells); the block terminals outside plain, its anchors, stay.
+    cells); the block terminals outside plain, its anchors, stay.  rows
+    come in label order and are walked lazily, only for a detour.
 
     Returns the paths, keyed by each plain terminal's cell, and the
     matching: an injective map from the rows that need a detour to spare
     rows.  A row needs a detour when it holds two plain terminals, or
     one that faces a full destination row.  A spare row holds no plain
-    terminal and has a free block entry and a free destination entry.
-    Spare rows are looked for only when a detour is needed, lowest label
-    first, and matched to the needy rows in label order; the solver's
-    counting arguments guarantee enough of them.
+    terminal and has a free destination entry.  Each needy row, in label
+    order, takes the lowest unused spare row its detour can enter: down
+    the first terminal, in block-column order, whose column's entry in
+    the spare row is free, or, for a lone terminal, across its free
+    row-mate cell and down the other column.  The solver's counting
+    arguments guarantee enough spare rows.
 
     A plain terminal crosses straight into a free entry of its own
-    destination row, except that a matched row sends one terminal
-    through the spare row's free block entry in that terminal's column
-    and on to a free destination entry of the spare row.  The entry
-    taken is the one in the column of the terminal's partner when that
-    column is a destination column and the entry is free, so the pair is
-    left sharing a column; otherwise it is the row's first free entry.
-    All paths are pairwise disjoint, never pass through a terminal, and
-    no destination row receives more than one endpoint.  A doubled row
-    needs a free destination entry of its own for the terminal that
-    stays; a lone terminal that detours needs its spare row's entry in
-    its own column free, which holds in a one-column block and for every
-    spare row without an anchor.
+    destination row, except that a matched row sends its detour on from
+    the spare row's block entry to a free destination entry of the spare
+    row.  The entry taken is the one in the column of the terminal's
+    partner when that column is a destination column and the entry is
+    free, so the pair is left sharing a column; otherwise it is the
+    row's first free entry.  All paths are pairwise disjoint, never pass
+    through a terminal, and no destination row receives more than one
+    endpoint.  A doubled row needs a free destination entry of its own
+    for the terminal that stays.
 
     Which free entry of its row a path ends on does not matter to any
     counting argument: a path meets the destination columns only at its
@@ -240,40 +264,31 @@ def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
     unclaimed, and the solver's cases ask only for one free entry in
     each destination row.
     """
+    if not plain:
+        return {}, {}
     plain_rows: dict[int, list[Cell]] = {}  # in label order
     for x in sorted(plain):
         plain_rows.setdefault(x[0], []).append(x)
-    free = {r: _free_dest(r, dest_cols, occupied) for r in plain_rows}  # found once
-    needy = [r for r, xs in plain_rows.items() if len(xs) > 1 or free[r] is None]
-    matching = {}
-    if needy:
-        spares = list(islice((r for r in sorted(rows) if r not in plain_rows
-                              and any((r, c) not in occupied for c in block_cols)
-                              and free.setdefault(r, _free_dest(r, dest_cols, occupied))), len(needy)))
-        if len(spares) < len(needy):
-            raise SolverInvariantError("rows needing a detour outnumber spare rows")
-        matching = dict(zip(needy, spares))
-
-    def end(r: int, x: Cell) -> Cell:
-        c = occupied[x][1]
-        if c in dest_cols and (r, c) not in occupied:
-            return r, c
-        if free[r] is None:
-            raise SolverInvariantError(f"no free destination entry in row {r}")
-        return free[r]
-
-    out = {}
+    out, matching, passed, spares = {}, {}, {}, None  # passed: spare rows walked, left unused
     for r, xs in plain_rows.items():
-        spare = matching.get(r)
-        if spare is not None:
-            detour = next((x for c in block_cols for x in xs  # block-column order
-                           if x[1] == c and (spare, c) not in occupied), None)
-            if detour is None:
-                raise SolverInvariantError(f"spare row {spare} has no free block entry")
-            out[detour] = [detour, (spare, detour[1]), end(spare, detour)]
-            xs = [x for x in xs if x != detour]
+        free = _free_dest(r, dest_cols, occupied)
+        if len(xs) > 1 or free is None:
+            spares = spares or (s for s in rows
+                                if s not in plain_rows and _free_dest(s, dest_cols, occupied))
+            for spare in chain(list(passed), spares):
+                path = _detour(xs, spare, block_cols, occupied)
+                if path is not None:
+                    break
+                passed[spare] = None
+            else:
+                raise SolverInvariantError("rows needing a detour outnumber spare rows")
+            passed.pop(spare, None)
+            matching[r], x = spare, path[0]
+            spare_free = _free_dest(spare, dest_cols, occupied)
+            out[x] = [*path, _end(spare, x, spare_free, dest_cols, occupied)]
+            xs = [y for y in xs if y != x]
         for x in xs:
-            out[x] = [x, end(r, x)]
+            out[x] = [x, _end(r, x, free, dest_cols, occupied)]
     return out, matching
 
 
@@ -295,25 +310,20 @@ class _Board:
 
     def __init__(self, rows, cols, pairs) -> None:
         self.rows, self.cols = dict.fromkeys(rows), dict.fromkeys(cols)
-        self.by_row, self.by_col = defaultdict(set), defaultdict(set)
-        self._index(enumerate(pairs), mirror=False)
-        self.aligned = [i for i, (s, t) in self.pairs.items() if _aligned(s, t)]  # ascending: a heap
-        self.moves: list[tuple] = []
-
-    def _index(self, pairs, mirror: bool) -> None:
-        """Key the pairs by plain cell in one pass; mirror them, or (new board) index their lines."""
+        self.by_row, self.by_col = by_row, by_col = defaultdict(set), defaultdict(set)
         self.pairs, self.occupied, self.idx_of = live, occupied, idx_of = {}, {}, {}
-        for idx, ((a, b), (c, d)) in pairs:
-            if mirror:
-                a, b, c, d = b, a, d, c
-            else:
-                self.by_row[a].add(b)
-                self.by_col[b].add(a)
-                self.by_row[c].add(d)
-                self.by_col[d].add(c)
+        self.aligned = aligned = []  # ascending: a heap
+        self.moves: list[tuple] = []
+        for idx, ((a, b), (c, d)) in enumerate(pairs):
+            by_row[a].add(b)
+            by_col[b].add(a)
+            by_row[c].add(d)
+            by_col[d].add(c)
             live[idx] = s, t = (a, b), (c, d)
             occupied[s], occupied[t] = t, s
             idx_of[s] = idx_of[t] = idx
+            if a == c or b == d:
+                aligned.append(idx)
 
     def first_aligned(self) -> int | None:
         """The lowest index of a live pair on one row or one column."""
@@ -350,7 +360,12 @@ class _Board:
 
     def transpose(self, reason: str) -> TransposeStep:
         self.rows, self.cols, self.by_row, self.by_col = self.cols, self.rows, self.by_col, self.by_row
-        self._index(self.pairs.items(), mirror=True)
+        pairs = self.pairs
+        self.pairs, self.occupied, self.idx_of = live, occupied, idx_of = {}, {}, {}
+        for idx, ((b, a), (d, c)) in pairs.items():
+            live[idx] = s, t = (a, b), (c, d)
+            occupied[s], occupied[t] = t, s
+            idx_of[s] = idx_of[t] = idx
         return TransposeStep(reason)
 
 
@@ -403,7 +418,7 @@ def _case_line_pair(board, i1):
             plain.append((r, col0))
         elif r < w[0]:
             inside.append(board.idx_of[w])
-    edges = tuple([(i, board.pairs[i]) for i in sorted(inside) if i != i1])
+    edges = () if len(inside) == 1 else tuple([(i, board.pairs[i]) for i in sorted(inside) if i != i1])
     drained, _ = drain_block(board.rows, (col0,), board.cols, board.occupied, plain)
     for x, path in drained.items():
         board.relocate(x, path)
@@ -428,13 +443,12 @@ def _case_two_columns(board, i1):
     # at most d2' - 2 + slack terminals outside the block, a full row takes
     # d2' - 1 of them, and slack + 1 full rows would need
     # slack * (d2' - 2) < 0 (this case runs on at least three columns).
-    n = len(rest_cols)  # the row index counts block cells too
-    full_rows = tuple(r for r, cols in board.by_row.items()
-                      if len(cols) >= n and len(cols.difference(block_cols)) == n)
+    n = len(rest_cols)  # a full row meets every rest column; by_row counts block cells too
+    full_rows = [r for r in board.by_col[next(iter(rest_cols))]
+                 if len(cols := board.by_row[r]) >= n and len(cols.difference(block_cols)) == n]
     if len(full_rows) > slack:
         raise SolverInvariantError("more saturated rows than the occupancy slack allows")
     top_rows = tuple(sorted({bend, *full_rows}))
-    low_rows = tuple(r for r in rows if r not in top_rows)
     # a mover, a plain block terminal on a saturated row, cannot leave
     # across its row, so it steps down its own block column to the lowest
     # free low cell, or, when that column is packed, across to its
@@ -444,7 +458,7 @@ def _case_two_columns(board, i1):
         mate = (x[0], block_cols[1] if x[1] == block_cols[0] else block_cols[0])
         for path in ([x], [x, mate]):
             c = path[-1][1]
-            down = next((r for r in low_rows if (r, c) not in occupied), None)
+            down = next((r for r in rows if r not in top_rows and (r, c) not in occupied), None)
             if down is not None and occupied.keys().isdisjoint(path[1:]):
                 break
         else:
@@ -466,6 +480,7 @@ def _case_two_columns(board, i1):
         board.relocate(x, path)
     # every plain block terminal now sits on a low row
     plain = {(r, c) for c in block_cols for r in board.by_col[c]} - anchors
+    low_rows = (r for r in rows if r not in top_rows)
     drained, matching = drain_block(low_rows, block_cols, rest_cols, occupied, plain)
     for cur in sorted(drained):
         board.relocate(cur, drained[cur])

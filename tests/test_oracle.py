@@ -13,7 +13,7 @@ from helpers import (brute_linkable, brute_orbit_count, corner_instances, fake_p
 from rooklink import (Linkage, LinkageProblem, ProblemContractError, ProductGraph,
                       Subgrid, Vertex, VerifyReport,
                       all_pairings, exhaustive_solve, find_infeasible_pairing,
-                      max_guaranteed_pairs, random_pairing, verify)
+                      max_guaranteed_pairs, random_pairing, solve, verify)
 
 V = Vertex
 
@@ -68,6 +68,80 @@ class TestVerify:
         bad = Linkage(((V(0, 0), V(0, 1), V(0, 0), V(1, 0), V(1, 1)),))
         report = verify(p, bad)
         assert not report.ok
+
+
+class TestVerifyOrder:
+    # verify names the first violation: a path's endpoints, then its
+    # activity, adjacency and simplicity, and disjointness last of all
+    def test_activity_outranks_an_earlier_adjacency_break(self):
+        p = problem(1, 1, ((0, 0), (1, 1)))
+        report = verify(p, Linkage(((V(0, 0), V(1, 1), V(1, 2), V(1, 1)),)))
+        assert report.reason == "activity: path 1 uses inactive vertex (1, 2)"
+
+    def test_simplicity_outranks_disjointness(self):
+        p = problem(2, 2, ((0, 0), (0, 2)), ((2, 1), (0, 1)))
+        path = (V(0, 0), V(0, 1), V(1, 1), V(0, 1), V(0, 2))
+        report = verify(p, Linkage((path, (V(2, 1), V(0, 1)))))
+        assert report.reason == "simplicity: path 1 repeats a vertex"
+        # and the other way round: path 2 repeats a vertex of path 1
+        q = LinkageProblem(p.grid, p.pairs[::-1])
+        report = verify(q, Linkage(((V(2, 1), V(0, 1)), path)))
+        assert report.reason == "simplicity: path 2 repeats a vertex"
+
+    def test_endpoints_outrank_an_inactive_interior(self):
+        p = problem(1, 1, ((0, 0), (1, 1)))
+        report = verify(p, Linkage(((V(0, 0), V(0, 2), V(1, 2), V(1, 0)),)))
+        assert report.reason == "endpoints: path 1 does not join its pair"
+
+    def test_mutated_linkages_match_recorded_reasons(self):
+        # seeded solver linkages on boards and proper subgrids, each with one
+        # or two mutations; the reasons' digest was recorded with the
+        # four-pass verify that preceded the one-walk verify
+        reasons = [verify(p, link).reason or "ok" for p, link in _mutated_linkages(500)]
+        assert {r.split(":")[0] for r in reasons} == {
+            "ok", "endpoints", "activity", "adjacency", "simplicity", "disjointness"}
+        digest = hashlib.sha256("\n".join(reasons).encode()).hexdigest()
+        assert digest == "e0d3aa3bf454cd7db524c2c5210d7493a85ef5296d3204ed6c6f19b6a9743526"
+
+
+def _mutated_linkages(count):
+    rng = random.Random(4242)
+    for _ in range(count):
+        base = ProductGraph(rng.randint(1, 5), rng.randint(2, 5))
+        rows, cols = list(range(base.n_rows)), list(range(base.n_cols))
+        if rng.random() < 0.5:
+            for labels in (rows, cols):
+                if len(labels) > 2:
+                    labels.remove(rng.choice(labels))
+        grid = Subgrid(base, tuple(rows), tuple(cols))
+        cells = [V(r, c) for r in rows for c in cols]
+        k = rng.randint(1, max(1, LinkageProblem(grid, ()).guaranteed_bound))
+        p = LinkageProblem(grid, random_pairing(rng.sample(cells, 2 * k), rng))
+        paths = [list(path) for path in solve(p)[0].paths]
+        for _ in range(rng.randint(1, 2)):
+            kind, i = rng.randrange(4), rng.randrange(k)
+            path = paths[i]
+            j = rng.randrange(len(path))
+            if kind == 0 and len(path) > 2:  # drop an interior cell
+                del path[rng.randrange(1, len(path) - 1)]
+            elif kind == 1:  # duplicate a cell: any path's, one on a step's line, or a step
+                j, pick = rng.randrange(len(path) - 1), rng.randrange(3)
+                a, b = path[j], path[j + 1]
+                fits = [w for other in paths for w in other if w not in (a, b)
+                        and (a[0] == b[0] == w[0] or a[1] == b[1] == w[1])]
+                if pick == 0 or pick == 1 and not fits:
+                    path.insert(rng.randrange(1, len(path)), rng.choice(rng.choice(paths)))
+                elif pick == 1:
+                    path.insert(j + 1, rng.choice(fits))
+                else:
+                    path[j + 2:j + 2] = [a, b]
+            elif kind == 2:  # shift a cell along its row or column, perhaps off the board
+                r, c = path[j]
+                path[j] = V(r + rng.randint(-1, 2), c) if rng.random() < 0.5 else V(r, c + rng.randint(-1, 2))
+            elif k > 1:  # swap two paths
+                i2 = rng.randrange(k)
+                paths[i], paths[i2] = paths[i2], paths[i]
+        yield p, Linkage(tuple(tuple(path) for path in paths))
 
 
 class TestVerifyMetamorphic:

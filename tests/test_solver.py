@@ -294,6 +294,24 @@ class TestDrainBlock:
         assert out[V(2, 0)] == [V(2, 0), V(1, 0), V(1, 2)]
         assert out[V(2, 1)] == [V(2, 1), V(2, 2)]
 
+    def test_lone_terminal_detours_past_an_anchor(self):
+        # (0, 0) faces a full destination row, and the anchor (1, 0) takes
+        # spare row 1's entry in its column: the detour crosses to the free
+        # row-mate cell (0, 1) and goes down column 1 instead
+        occupied = unpaired(V(0, 0), V(0, 2), V(1, 0))
+        out, m = drain_block((0, 1), (0, 1), (2,), occupied, {V(0, 0)})
+        assert out == {V(0, 0): [V(0, 0), V(0, 1), V(1, 1), V(1, 2)]} and m == {0: 1}
+        # with the row-mate cell an anchor too, row 0 skips row 1 for row 2,
+        # the doubled row 3 takes the skipped row 1 through column 1, and
+        # the doubled row 4 takes row 5, as row 1 is used
+        plain = unpaired(V(0, 0), V(3, 0), V(3, 1), V(4, 0), V(4, 1))
+        occupied.update(unpaired(V(0, 1), *plain))
+        out, m = drain_block(range(6), (0, 1), (2,), occupied, set(plain))
+        assert m == {0: 2, 3: 1, 4: 5}
+        assert out == {V(0, 0): [V(0, 0), V(2, 0), V(2, 2)],
+                       V(3, 1): [V(3, 1), V(1, 1), V(1, 2)], V(3, 0): [V(3, 0), V(3, 2)],
+                       V(4, 0): [V(4, 0), V(5, 0), V(5, 2)], V(4, 1): [V(4, 1), V(4, 2)]}
+
     def test_partner_column_first_on_a_straight_hop(self):
         # (2, 0)'s partner sits in column 3, so it lands in (2, 3) while
         # that cell is free; taken, or outside the destination columns, it
@@ -880,6 +898,8 @@ def check_board_indexes(p) -> Counter:
             break
         occupied = {v: w for s, t in board.pairs.values() for v, w in ((s, t), (t, s))}
         assert board.occupied == occupied
+        # deletions keep the active lines ascending and a transpose swaps them
+        assert list(board.rows) == sorted(board.rows) and list(board.cols) == sorted(board.cols)
         assert board.idx_of == {v: i for i, pair in board.pairs.items() for v in pair}
         by_row, by_col = defaultdict(set), defaultdict(set)
         for r, c in occupied:
@@ -906,3 +926,27 @@ def test_board_indexes_match_a_fresh_rebuild_after_every_step():
         d1, d2 = rng.randint(2, 8), rng.randint(2, 8)
         kinds += check_board_indexes(_bounded(rng, d1, d2, max_guaranteed_pairs(d1, d2)))
     assert min(kinds[name] for name in ("TransposeStep", "TwoColumnStep", "LinePairStep")) > 0
+
+
+class _KeyedIndex(defaultdict):
+    """A line index that answers lookups by key and refuses every walk."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a step walked a whole line index")
+
+    __iter__ = items = keys = values = _refuse
+
+
+def test_steps_read_the_line_indexes_by_key_only(monkeypatch):
+    # a step reads the lines it touches, never every row: with both line
+    # indexes refusing walks, seeded boards that take two-column steps
+    # route as before
+    rng = random.Random(71)
+    problems = [_bounded(rng, 30, 30, 30) for _ in range(4)]
+    for _ in range(200):
+        d1, d2 = rng.randint(2, 8), rng.randint(2, 8)
+        problems.append(_bounded(rng, d1, d2, max_guaranteed_pairs(d1, d2)))
+    expected = [solve(p) for p in problems]
+    monkeypatch.setattr(rooklink.solver, "defaultdict", _KeyedIndex)
+    assert [solve(p) for p in problems] == expected
+    assert sum(isinstance(step, TwoColumnStep) for _, trace in expected for step in trace.steps) > 0
