@@ -8,13 +8,16 @@ and every vertex of the full grid has degree d1 + d2.
 Subgrids are induced subgraphs described by active row/column label
 sets.  Vertices always keep their ambient coordinates, so a path found
 inside a subgrid is valid verbatim in every enclosing grid; adjacency is
-computed from coordinates and never stored as an edge list.
+computed from coordinates and never stored as an edge list.  A Vertex is
+built in one place, _vertex here; steps and table lookups elsewhere key
+on plain (r, c) tuples, which a Vertex compares and hashes equal to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 from typing import Iterator, NamedTuple
 
 
@@ -26,9 +29,11 @@ class Vertex(NamedTuple):
         return f"({self.row},{self.col})"
 
 
+_vertex = partial(tuple.__new__, Vertex)  # the one constructor: Vertex._make less its length check
+
+
 def flip(v: tuple[int, int]) -> tuple[int, int]:
-    """Mirror a cell across the main diagonal (row/column swap) as a
-    plain tuple, which a Vertex compares and hashes equal to."""
+    """Mirror a cell across the main diagonal as a plain (r, c) tuple."""
     return v[1], v[0]
 
 
@@ -131,13 +136,11 @@ class Subgrid:
             raise InvalidVertexError(f"vertex {tuple(v)} not active in subgrid")
 
     def vertices(self) -> Iterator[Vertex]:
-        for r in self.rows:
-            for c in self.cols:
-                yield Vertex(r, c)
+        """The active cells in row-major order, as a fresh one-pass iterator."""
+        return map(_vertex, product(self.rows, self.cols))
 
     def neighbors(self, v: Vertex) -> set[Vertex]:
         """All active vertices adjacent to v; there are (rows-1)+(cols-1) of them."""
         self.require(v)
-        out = {Vertex(r, v[1]) for r in self.rows if r != v[0]}
-        out.update(Vertex(v[0], c) for c in self.cols if c != v[1])
-        return out
+        col = set(map(_vertex, product(self.rows, (v[1],))))
+        return col.symmetric_difference(map(_vertex, product((v[0],), self.cols)))  # v is in both

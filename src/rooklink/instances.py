@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .grid import ProblemContractError, ProductGraph, Vertex
+from .grid import ProblemContractError, ProductGraph, Vertex, _vertex
 from .problem import LinkageProblem
 
 
@@ -55,7 +55,7 @@ def parse_instance(text: str) -> LinkageProblem:
                 r1, c1, r2, c2 = (int(x) for x in fields[1:])
             except ValueError:
                 raise InstanceFormatError(f"line {lineno}: coordinates must be integers") from None
-            pairs.append((Vertex(r1, c1), Vertex(r2, c2)))
+            pairs.append((_vertex((r1, c1)), _vertex((r2, c2))))
         else:
             raise InstanceFormatError(f"line {lineno}: unknown directive {fields[0]!r}")
     if dims is None:
@@ -92,7 +92,7 @@ def parse_linkage(text: str) -> list[list[Vertex]]:
         leftover = _VERTEX_RE.sub("", body).strip()
         if leftover:
             raise InstanceFormatError(f"line {lineno}: unparsable path data {leftover!r}")
-        verts = [Vertex(int(r), int(c)) for r, c in _VERTEX_RE.findall(body)]
+        verts = [_vertex((int(r), int(c))) for r, c in _VERTEX_RE.findall(body)]
         if not verts:
             raise InstanceFormatError(f"line {lineno}: empty path")
         entries[index] = verts

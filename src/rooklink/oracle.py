@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, islice, permutations
+from itertools import groupby, islice, permutations, product
 from math import comb, factorial, prod
 import os
 import random
 
-from .grid import ProductGraph, Vertex, flip
+from .grid import ProductGraph, Vertex, _vertex, flip
 from .problem import Linkage, LinkageProblem, ProblemContractError
 
 
@@ -109,10 +109,10 @@ def _board(rows: tuple[int, ...], cols: tuple[int, ...]):
     the set bits of masks[i], so walking them from the lowest bit up
     visits them in that same order.
     """
-    verts = tuple(Vertex(r, c) for r in rows for c in cols)
+    verts = tuple(map(_vertex, product(rows, cols)))
     index = {v: i for i, v in enumerate(verts)}
-    row_masks = {r: sum(1 << index[Vertex(r, c)] for c in cols) for r in rows}
-    col_masks = {c: sum(1 << index[Vertex(r, c)] for r in rows) for c in cols}
+    row_masks = {r: sum(1 << index[r, c] for c in cols) for r in rows}
+    col_masks = {c: sum(1 << index[r, c] for r in rows) for c in cols}
     masks = tuple((row_masks[r] | col_masks[c]) ^ (1 << i) for i, (r, c) in enumerate(verts))
     return verts, index, masks
 

@@ -2,22 +2,37 @@
 
 A problem is a grid (or subgrid) together with k unordered pairs of
 distinct terminals; a linkage is one pairwise vertex-disjoint path per
-pair.  Structural validity (distinct, in-bounds terminals) is enforced
-here; whether k is small enough for the constructive solver is that
-solver's precondition, because the oracle deliberately also works on
-problems above the guaranteed bound.
+pair.  Structural validity (distinct, in-bounds terminals of two int
+coordinates each) is enforced here; whether k is small enough for the
+constructive solver is that solver's precondition, because the oracle
+deliberately also works on problems above the guaranteed bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
-from .grid import ProblemContractError, ProductGraph, Subgrid, Vertex
+from .grid import ProblemContractError, ProductGraph, Subgrid, Vertex, _vertex
 
 
 def max_guaranteed_pairs(d1: int, d2: int) -> int:
     """The paper's bound: every pairing of this many pairs links (a clique may link more)."""
     return (d1 + d2) // 2
+
+
+def _terminal(v) -> Vertex:
+    """v as a Vertex of two ints: operator.index converts each coordinate,
+    and anything else, bool included, raises ProblemContractError."""
+    if type(v) is Vertex and type(v[0]) is int and type(v[1]) is int:
+        return v
+    try:
+        r, c = v
+        if type(r) is bool or type(c) is bool:
+            raise TypeError
+        return _vertex((index(r), index(c)))
+    except (TypeError, ValueError):
+        raise ProblemContractError(f"terminal {v!r} is not two integer coordinates") from None
 
 
 @dataclass(frozen=True)
@@ -26,7 +41,7 @@ class LinkageProblem:
     pairs: tuple[tuple[Vertex, Vertex], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((Vertex(*s), Vertex(*t)) for s, t in self.pairs)
+        pairs = tuple((_terminal(s), _terminal(t)) for s, t in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         sub = self.subgrid
         seen: set[Vertex] = set()

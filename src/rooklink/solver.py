@@ -47,9 +47,9 @@ other pairs it routes as edges beside its log, never in it, and replay
 sets them after undoing the moves.  A record keeps no fact its bridge or
 log holds: render_trace reads the block columns and bend row off the
 bridge, and the pushes, the moves that end in a block column, off the
-log.  The steps route on plain (r, c) tuples; the linkage is folded back
-out of the finished trace by the same code that replays it, and replay
-builds its Vertex objects.
+log.  The steps route, and key every lookup, on plain (r, c) tuples; the
+linkage is folded back out of the finished trace by the same code that
+replays it, and replay builds its Vertex objects with grid's one constructor.
 
 Internal failures raise SolverInvariantError carrying the trace: the
 construction cannot fail on a legal input, so a failure is a bug, never
@@ -60,16 +60,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from heapq import heappop, heappush
 from itertools import chain
 
-from .grid import Vertex, flip
+from .grid import _vertex, flip
 from .menger import disjoint_paths  # unused; perfbench/tracing.py wraps this name
 from .problem import Linkage, LinkageProblem, ProblemContractError
 
 Cell = tuple[int, int]  # a board cell (r, c); a Vertex compares and hashes equal
-_vertex = partial(tuple.__new__, Vertex)  # Vertex._make less its length check
 
 class SolverInvariantError(RuntimeError):
     """An internal construction step failed; carries the trace so far."""
@@ -569,5 +567,4 @@ def replay(problem: LinkageProblem, trace: SolverTrace) -> Linkage:
                 acc[i] = cells(p)
         else:
             _finish(step, acc, cells)
-    # the steps route on plain (r, c) tuples; the linkage holds vertices
     return Linkage(tuple(tuple(map(_vertex, acc[i])) for i in range(len(problem.pairs))))

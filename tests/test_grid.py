@@ -73,6 +73,16 @@ class TestNeighbors:
 
 
 class TestSubgrid:
+    @settings(deadline=None)
+    @given(subgrids())
+    def test_vertices_are_row_major_and_fresh(self, sub):
+        # labels with gaps included; each call is a new one-pass iterator
+        nested = [Vertex(r, c) for r in sub.rows for c in sub.cols]
+        cells = sub.vertices()
+        assert list(cells) == nested == sorted(sub.vertices())
+        assert list(cells) == [] and list(sub.vertices()) == nested
+        assert all(type(v) is Vertex for v in sub.vertices())
+
     def test_full_subgrid_is_built_once(self):
         g = ProductGraph(2, 3)
         sub = g.subgrid()

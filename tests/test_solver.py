@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from rooklink import (LinkageProblem, ProblemContractError, ProductGraph,
                       SolverInvariantError, Subgrid, Vertex, all_pairings,
                       cyclic_dual_params, exhaustive_solve, flip,
-                      max_guaranteed_pairs, random_pairing, render_trace,
-                      replay, serialize_linkage, solve, verify)
+                      max_guaranteed_pairs, parse_instance, parse_linkage,
+                      random_pairing, render_trace, replay, serialize_instance,
+                      serialize_linkage, solve, verify)
 import rooklink.menger
+import rooklink.oracle
 import rooklink.solver
 from rooklink.solver import (LinePairStep, SingleRowStep, SolverTrace, TransposeStep,
                              TwoColumnStep, TwoRowsStep, _Board, _finish, _next_step,
@@ -559,6 +561,31 @@ class TestContract:
         with pytest.raises(ProblemContractError):
             problem(1, 1, ((0, 0), (5, 5)))
 
+    # a float or bool coordinate would reach solve's output as a line such
+    # as "path 1: (1.0,2) (1.0,0) (0,0)", which parse_linkage cannot read
+    # back; the C-level Vertex constructor checks no length
+    @pytest.mark.parametrize("terminal", [
+        (1.0, 2), (True, 2), (1, False), V(1.0, 2), (1, 2, 3), (1,), "12", 5, None,
+    ], ids=["float", "bool", "bool-col", "float-vertex", "3-tuple", "1-tuple", "str",
+            "int", "none"])
+    def test_terminal_is_two_integer_coordinates(self, terminal):
+        with pytest.raises(ProblemContractError, match="not two integer coordinates"):
+            LinkageProblem(ProductGraph(3, 3), ((terminal, (0, 0)),))
+
+    def test_index_coordinates_become_ints(self):
+        class Label:
+            def __init__(self, n):
+                self.n = n
+
+            def __index__(self):
+                return self.n
+
+        p = LinkageProblem(ProductGraph(3, 3), (((Label(1), Label(2)), V(0, 0)),))
+        assert p.pairs == ((V(1, 2), V(0, 0)),)
+        assert all(type(v) is Vertex and type(v[0]) is type(v[1]) is int for v in p.pairs[0])
+        link, _ = solve(p)
+        assert parse_linkage(serialize_linkage(link.paths)) == [list(link.paths[0])]
+
     def test_empty_problem_gives_empty_linkage(self):
         link, trace = solve(problem(2, 2))
         assert link.paths == ()
@@ -744,13 +771,29 @@ class TestPinnedOutput:
             " matching=-")
 
     @pytest.mark.parametrize("d1, d2, seed", [(2, 3, 1), (5, 4, 2), (8, 8, 3), (100, 100, 4)])
-    def test_paths_hold_vertices_only(self, d1, d2, seed):
+    def test_paths_hold_vertices_only(self, d1, d2, seed, monkeypatch):
         # the case steps route on plain (r, c) tuples; a tuple that leaked
-        # into a path would print as (1, 2) where a Vertex prints (1,2)
+        # into a path would print as (1, 2) where a Vertex prints (1,2).
+        # Every Vertex is built by grid's C-level constructor, which never
+        # runs Vertex.__new__, so each call below still works with it broken
+        def broken(*args):
+            raise AssertionError("Vertex.__new__ called")
+
+        monkeypatch.setattr(Vertex, "__new__", broken)
+        rooklink.oracle._board.cache_clear()  # so exhaustive_solve builds its table here
         p = _bounded(random.Random(seed), d1, d2, max_guaranteed_pairs(d1, d2))
+        sub = p.subgrid
         link, trace = solve(p)
-        for linkage in (link, replay(p, trace)):
-            assert all(type(v) is Vertex for path in linkage.paths for v in path)
+        parsed = parse_instance(serialize_instance(p))
+        assert parsed == p
+        cells = [list(sub.vertices()), sorted(sub.neighbors((d1 // 2, d2 // 2)))]
+        cells += parsed.pairs
+        cells += parse_linkage(serialize_linkage(link.paths))
+        linkages = [link, replay(p, trace)]
+        if d1 + d2 <= 9:
+            linkages.append(exhaustive_solve(p).witness)
+        cells += [path for linkage in linkages for path in linkage.paths]
+        assert all(type(v) is Vertex for path in cells for v in path)
 
 
 @st.composite
