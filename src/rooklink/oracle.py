@@ -294,15 +294,6 @@ def _row_tables(m: int):
             for p in permutations(range(m))]
 
 
-def _views(pattern: tuple[int, ...], m: int, square: bool):
-    """The pattern, and with transposition its transpose, flagged as such."""
-    views = [(pattern, False)]
-    if square:
-        views.append((tuple(sum(1 << m - 1 - c for c, mask in enumerate(pattern)
-                                if mask >> m - 1 - r & 1) for r in range(m)), True))
-    return views
-
-
 def _patterns(m: int, n: int, cells: int, tables, square: bool):
     """One m x n terminal pattern with `cells` cells per orbit, lazily.
 
@@ -312,17 +303,30 @@ def _patterns(m: int, n: int, cells: int, tables, square: bool):
     it only through that sort.  The canonical pattern of an orbit is the
     largest tuple that a row permutation (after the transposition, if
     square) sorts to.  Candidates are the descending tuples with `cells`
-    bits, and each is yielded when it is canonical.
+    bits, and each canonical one is yielded with its fixers, which the
+    canonicity test meets on its way: a (p, flipped, image) for each row
+    permutation p, after the transposition if flipped, whose image of
+    the column masks sorts back to the pattern (the identity among them).
     """
-    def canonical(pattern) -> bool:
-        return all(tuple(sorted((table[mask] for mask in view), reverse=True)) <= pattern
-                   for view, _ in _views(pattern, m, square) for _, table in tables)
+    def fixers(pattern):
+        views = [(pattern, False)]
+        if square:
+            views.append((tuple(sum(1 << m - 1 - c for c, mask in enumerate(pattern)
+                                    if mask >> m - 1 - r & 1) for r in range(m)), True))
+        found = []
+        for (view, flipped), (p, table) in product(views, tables):
+            image = [table[mask] for mask in view]
+            if (key := tuple(sorted(image, reverse=True))) > pattern:
+                return []
+            if key == pattern:
+                found.append((p, flipped, image))
+        return found
 
     def grow(prefix, top, left):
         slots = n - len(prefix)
         if not slots:
-            if canonical(prefix):
-                yield prefix
+            if found := fixers(prefix):
+                yield prefix, found
             return
         for mask in range(top, -1, -1):
             bits = mask.bit_count()
@@ -332,16 +336,15 @@ def _patterns(m: int, n: int, cells: int, tables, square: bool):
     yield from grow((), (1 << m) - 1, cells)
 
 
-def _symmetries(pattern: tuple[int, ...], m: int, tables, square: bool):
+def _symmetries(pattern: tuple[int, ...], m: int, fixers):
     """A pattern's cells, and generators of its stabiliser acting on them.
 
     The cells are (row, column) pairs in lexicographic order, and each
     generator is a permutation of their indices.  The generators are a
     swap and a cycle of each run of equal nonempty columns (together
     they generate every permutation of the run), and one element for
-    each row permutation (after the transposition, if square) that maps
-    the pattern's column masks onto themselves: every symmetry is one of
-    those elements followed by a permutation of equal columns.
+    each of _patterns' fixers: every symmetry is one of those elements
+    followed by a permutation of equal columns.
     """
     n = len(pattern)
     cells = [(r, c) for r in range(m) for c in range(n) if pattern[c] >> m - 1 - r & 1]
@@ -355,17 +358,11 @@ def _symmetries(pattern: tuple[int, ...], m: int, tables, square: bool):
                          {c: c + 1 if c < end else start for c in range(start, end + 1)}):
                 gens.add(tuple(index[r, move.get(c, c)] for r, c in cells))
         start = end + 1
-    for view, flipped in _views(pattern, m, square):
-        for p, table in tables:
-            image = [table[mask] for mask in view]
-            if sorted(image, reverse=True) != list(pattern):
-                continue
-            slots: dict[int, list[int]] = {}
-            for c in reversed(range(n)):
-                slots.setdefault(pattern[c], []).append(c)
-            tau = [slots[mask].pop() for mask in image]
-            gens.add(tuple(index[(p[c], tau[r]) if flipped else (p[r], tau[c])]
-                           for r, c in cells))
+    for p, flipped, image in fixers:
+        # tau[c]: the pattern column that image column c sorts to
+        tau = {c: i for i, c in enumerate(sorted(range(n), key=image.__getitem__, reverse=True))}
+        gens.add(tuple(index[(p[c], tau[r]) if flipped else (p[r], tau[c])]
+                       for r, c in cells))
     gens.discard(tuple(range(len(cells))))
     return cells, gens
 
@@ -403,9 +400,8 @@ def _orbit_instances(grid: ProductGraph, k: int):
         verts = [flip((0, c)) if flipped else (0, c) for c in range(2 * k)]
         yield LinkageProblem(grid, tuple(zip(verts[::2], verts[1::2])))
         return
-    tables = _row_tables(m)
-    for pattern in _patterns(m, n, 2 * k, tables, square):
-        cells, gens = _symmetries(pattern, m, tables, square)
+    for pattern, fixers in _patterns(m, n, 2 * k, _row_tables(m), square):
+        cells, gens = _symmetries(pattern, m, fixers)
         verts = [flip(cell) if flipped else cell for cell in cells]
         moves = [(g, sorted(range(2 * k), key=g.__getitem__)) for g in gens]
         seen = bytearray(prod(range(1, 2 * k, 2)))  # one flag per pairing, by rank

@@ -41,7 +41,12 @@ class LinkageProblem:
     pairs: tuple[tuple[Vertex, Vertex], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((_terminal(s), _terminal(t)) for s, t in self.pairs)
+        try:
+            pairs = tuple((_terminal(s), _terminal(t)) for s, t in self.pairs)
+        except ProblemContractError:  # a malformed terminal, named by _terminal
+            raise
+        except (TypeError, ValueError) as err:
+            raise ProblemContractError(f"every pair must be two terminals ({err})") from None
         object.__setattr__(self, "pairs", pairs)
         sub = self.subgrid
         seen: set[Vertex] = set()

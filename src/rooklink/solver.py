@@ -214,76 +214,60 @@ def _end(r: int, x: Cell, free: Cell | None, dest_cols, occupied) -> Cell:
     return free
 
 
-def _detour(xs: list[Cell], spare: int, block_cols, occupied) -> list[Cell] | None:
-    """The detour of xs, one row's plain terminals, as drain_block picks it, or None."""
-    for c in block_cols:
-        for x in xs:
-            if x[1] == c and (spare, c) not in occupied:
-                return [x, (spare, c)]
-    r, c0 = xs[0]
-    for c in block_cols:  # a lone terminal may cross to its free row-mate cell first
-        if len(xs) == 1 and c != c0 and (r, c) not in occupied and (spare, c) not in occupied:
-            return [xs[0], (r, c), (spare, c)]
-
-
 def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
                 plain) -> tuple[dict[Cell, list[Cell]], dict[int, int]]:
     """Walk the plain terminals out of the block into the destination
     columns; the block is one or two columns wide.  occupied maps each
     terminal's cell to its partner's cell (its keys are the occupied
-    cells); the block terminals outside plain, its anchors, stay.  rows
-    come in label order and are walked lazily, only for a detour.
+    cells); the block terminals outside plain, its anchors, stay.
 
     Returns the paths, keyed by each plain terminal's cell, and the
-    matching: an injective map from the rows that need a detour to spare
-    rows.  A row needs a detour when it holds two plain terminals, or
-    one that faces a full destination row.  A spare row holds no plain
-    terminal and has a free destination entry.  Each needy row, in label
-    order, takes the lowest unused spare row its detour can enter: down
-    the first terminal, in block-column order, whose column's entry in
-    the spare row is free, or, for a lone terminal, across its free
-    row-mate cell and down the other column.  The solver's counting
+    matching: an injective map from the rows that need a detour, those
+    with two plain terminals or one facing a full destination row, to
+    spare rows, which hold no plain terminal and have a free destination
+    entry.  The spare rows are one lazy pass over rows, in label order:
+    each needy row, in label order, takes the next spare row whose block
+    entry under one of its terminals, in block-column order, is free, so
+    a spare row passed over is never offered again.  No step loses a
+    detour by that.  In a one-column block (a line-pair step, the
+    two-row base) a spare row fails only when its block cell is taken,
+    and so fails every row.  In a two-column step every row full outside
+    the block is a top row, so only a doubled row needs a detour, and a
+    spare row holds at most one anchor (s1 and t1 sit on distinct rows),
+    so a doubled row takes the first spare row.  The solver's counting
     arguments guarantee enough spare rows.
 
     A plain terminal crosses straight into a free entry of its own
-    destination row, except that a matched row sends its detour on from
-    the spare row's block entry to a free destination entry of the spare
-    row.  The entry taken is the one in the column of the terminal's
-    partner when that column is a destination column and the entry is
-    free, so the pair is left sharing a column; otherwise it is the
-    row's first free entry.  All paths are pairwise disjoint, never pass
-    through a terminal, and no destination row receives more than one
-    endpoint.  A doubled row needs a free destination entry of its own
-    for the terminal that stays.
-
-    Which free entry of its row a path ends on does not matter to any
-    counting argument: a path meets the destination columns only at its
-    endpoint, so every free entry of a row that receives one endpoint is
-    unclaimed, and the solver's cases ask only for one free entry in
-    each destination row.
+    destination row; a matched row's detour goes down its column into
+    the spare row and across it.  Each path ends in its terminal's
+    partner's column when that is a destination column whose entry in
+    the row is free, leaving the pair sharing a column, and on the row's
+    first free entry otherwise.  All paths are pairwise disjoint, never
+    pass through a terminal, and no destination row receives more than
+    one endpoint; a doubled row needs a free destination entry of its
+    own for the terminal that stays.  Which free entry a path ends on
+    does not matter to any counting argument: a path meets the
+    destination columns only at its endpoint, and the solver's cases ask
+    only for one free entry in each destination row.
     """
     if not plain:
         return {}, {}
     plain_rows: dict[int, list[Cell]] = {}  # in label order
     for x in sorted(plain):
         plain_rows.setdefault(x[0], []).append(x)
-    out, matching, passed, spares = {}, {}, {}, None  # passed: spare rows walked, left unused
+    out, matching, spares = {}, {}, None
     for r, xs in plain_rows.items():
         free = _free_dest(r, dest_cols, occupied)
         if len(xs) > 1 or free is None:
             spares = spares or (s for s in rows
                                 if s not in plain_rows and _free_dest(s, dest_cols, occupied))
-            for spare in chain(list(passed), spares):
-                path = _detour(xs, spare, block_cols, occupied)
-                if path is not None:
-                    break
-                passed[spare] = None
-            else:
+            spare, x = next(((spare, x) for spare in spares for c in block_cols for x in xs
+                             if x[1] == c and (spare, c) not in occupied), (None, None))
+            if x is None:
                 raise SolverInvariantError("rows needing a detour outnumber spare rows")
-            passed.pop(spare, None)
-            matching[r], x = spare, path[0]
+            matching[r] = spare
             spare_free = _free_dest(spare, dest_cols, occupied)
-            out[x] = [*path, _end(spare, x, spare_free, dest_cols, occupied)]
+            out[x] = [x, (spare, x[1]), _end(spare, x, spare_free, dest_cols, occupied)]
             xs = [y for y in xs if y != x]
         for x in xs:
             out[x] = [x, _end(r, x, free, dest_cols, occupied)]

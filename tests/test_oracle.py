@@ -535,6 +535,18 @@ class TestOrbitSweep:
         grid = ProductGraph(d1, d2)
         assert sum(1 for _ in rooklink.oracle._orbit_instances(grid, k)) == orbits
 
+    def test_representatives_match_recorded_digest(self):
+        # each board's representatives, in order, hashed; the digest was
+        # recorded when each pattern's stabiliser was found by a second
+        # pass over the row tables, apart from its canonicity test
+        digest = hashlib.sha256()
+        for d1, d2, k in ((2, 4, 3), (4, 2, 3), (3, 3, 3), (3, 3, 4), (4, 4, 2),
+                          (1, 6, 4), (2, 5, 4)):
+            for p in rooklink.oracle._orbit_instances(ProductGraph(d1, d2), k):
+                digest.update(repr([(tuple(s), tuple(t)) for s, t in p.pairs]).encode())
+        assert digest.hexdigest() == (
+            "5fe7922221ea8076c4d1bb4de19d65d5c9d682c8b85c4b5963aaef12f516dd02")
+
     def test_every_pairing_has_an_image_among_the_representatives(self):
         grid = ProductGraph(3, 4)
         tables = symmetry_tables(grid)

@@ -296,23 +296,30 @@ class TestDrainBlock:
         assert out[V(2, 0)] == [V(2, 0), V(1, 0), V(1, 2)]
         assert out[V(2, 1)] == [V(2, 1), V(2, 2)]
 
-    def test_lone_terminal_detours_past_an_anchor(self):
+    def test_passed_spare_is_never_offered_again(self):
         # (0, 0) faces a full destination row, and the anchor (1, 0) takes
-        # spare row 1's entry in its column: the detour crosses to the free
-        # row-mate cell (0, 1) and goes down column 1 instead
-        occupied = unpaired(V(0, 0), V(0, 2), V(1, 0))
-        out, m = drain_block((0, 1), (0, 1), (2,), occupied, {V(0, 0)})
-        assert out == {V(0, 0): [V(0, 0), V(0, 1), V(1, 1), V(1, 2)]} and m == {0: 1}
-        # with the row-mate cell an anchor too, row 0 skips row 1 for row 2,
-        # the doubled row 3 takes the skipped row 1 through column 1, and
-        # the doubled row 4 takes row 5, as row 1 is used
-        plain = unpaired(V(0, 0), V(3, 0), V(3, 1), V(4, 0), V(4, 1))
-        occupied.update(unpaired(V(0, 1), *plain))
-        out, m = drain_block(range(6), (0, 1), (2,), occupied, set(plain))
-        assert m == {0: 2, 3: 1, 4: 5}
+        # spare row 1's entry in its column, so row 0 passes row 1 over
+        # for row 2; the doubled row 3 could enter row 1 down column 1,
+        # but row 1 is not offered again, and row 3 takes row 4
+        occupied = unpaired(V(0, 0), V(0, 2), V(1, 0), V(3, 0), V(3, 1))
+        plain = {V(0, 0), V(3, 0), V(3, 1)}
+        out, m = drain_block(range(5), (0, 1), (2,), occupied, plain)
+        assert m == {0: 2, 3: 4}
         assert out == {V(0, 0): [V(0, 0), V(2, 0), V(2, 2)],
-                       V(3, 1): [V(3, 1), V(1, 1), V(1, 2)], V(3, 0): [V(3, 0), V(3, 2)],
-                       V(4, 0): [V(4, 0), V(5, 0), V(5, 2)], V(4, 1): [V(4, 1), V(4, 2)]}
+                       V(3, 0): [V(3, 0), V(4, 0), V(4, 2)], V(3, 1): [V(3, 1), V(3, 2)]}
+        # with row 4 gone, row 3 finds no spare row left
+        with pytest.raises(SolverInvariantError):
+            drain_block(range(4), (0, 1), (2,), occupied, plain)
+
+    @pytest.mark.parametrize("anchor_col", [0, 1])
+    def test_doubled_row_takes_the_first_spare(self, anchor_col):
+        # the first spare row holds an anchor in one block column, so the
+        # doubled row goes down the other one into it
+        occupied = unpaired(V(0, 0), V(0, 1), V(1, anchor_col))
+        out, m = drain_block((0, 1, 2), (0, 1), (2,), occupied, {V(0, 0), V(0, 1)})
+        down, stays = V(0, 1 - anchor_col), V(0, anchor_col)
+        assert m == {0: 1}
+        assert out == {down: [down, V(1, 1 - anchor_col), V(1, 2)], stays: [stays, V(0, 2)]}
 
     def test_partner_column_first_on_a_straight_hop(self):
         # (2, 0)'s partner sits in column 3, so it lands in (2, 3) while
@@ -571,6 +578,12 @@ class TestContract:
     def test_terminal_is_two_integer_coordinates(self, terminal):
         with pytest.raises(ProblemContractError, match="not two integer coordinates"):
             LinkageProblem(ProductGraph(3, 3), ((terminal, (0, 0)),))
+
+    @pytest.mark.parametrize("pair", [((0, 0), (1, 1), (2, 2)), ((0, 0),), 5],
+                             ids=["three-terminals", "one-terminal", "bare-int"])
+    def test_pair_is_two_terminals(self, pair):
+        with pytest.raises(ProblemContractError, match="every pair must be two terminals"):
+            LinkageProblem(ProductGraph(3, 3), (pair,))
 
     def test_index_coordinates_become_ints(self):
         class Label:
@@ -846,7 +859,8 @@ def check_two_column_records(p) -> tuple[int, int, int]:
     the moves that end in one, come first, each from a top row to a low
     row in 2 or 3 cells.  The drain moves walk each plain block terminal
     out once, a pushed one after its push, and the 3-cell ones are the
-    matched rows.
+    matched rows, each going down its own column.  A matched row is a
+    doubled row: two drain moves start on it.
     """
     link, trace = solve(p)
     seen = [0, 0, 0]
@@ -869,6 +883,9 @@ def check_two_column_records(p) -> tuple[int, int, int]:
         assert {(idx, side) for idx, side, _ in pushed} <= drained
         detours = {path[0][0]: path[1][0] for _, _, path in drains if len(path) == 3}
         assert step.matching == detours
+        assert all(path[1][1] == path[0][1] for _, _, path in drains if len(path) == 3)
+        starts = Counter(path[0][0] for _, _, path in drains)
+        assert all(starts[r] == 2 for r in step.matching)
         seen[0] += 1
         seen[1] += len(pushed)
         seen[2] += len(detours)
@@ -898,7 +915,8 @@ def test_two_column_records_hold_on_seeded_boards():
 
 def check_line_pair_records(p) -> int:
     """Assert that each line-pair step's edges are pairs inside its column
-    that no move of the step and no later step names; returns their count."""
+    that no move of the step and no later step names, and that each 3-cell
+    move goes down its own column; returns the count of edges."""
     link, trace = solve(p)
     edges = 0
     for n, step in enumerate(trace.steps):
@@ -909,6 +927,7 @@ def check_line_pair_records(p) -> int:
         assert [idx for idx, _ in step.edges] == sorted(routed - {step.pair})
         assert all(v[1] == column for _, edge in step.edges for v in edge)
         assert not routed & {idx for idx, _, _ in step.moves}
+        assert all(path[1][1] == path[0][1] for _, _, path in step.moves if len(path) == 3)
         for later in trace.steps[n + 1:]:
             named = {idx for idx, _, _ in getattr(later, "moves", ())}
             named |= {getattr(later, "pair", None), *getattr(later, "paths", {})}
