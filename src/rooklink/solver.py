@@ -37,19 +37,20 @@ the occupied cells) and keeps a heap of the pairs that share a line, so a
 step reads only its block's lines and the pairs it moves: a two-column
 step finds the rows full outside its block among one rest column's rows,
 and walks the others lazily, in label order; a transpose swaps the line
-indexes and re-keys the pairs in one pass.
-Every evacuation is one call to drain_block, which is handed the block's
-terminals to walk out and finds its own spare rows; no step uses the
-max-flow engine.  Each step logs its moves in the order made, and steps
-keep each pair's (s, t) order, so replay undoes a step's moves, last
-first, onto the later paths as they stand.  A line-pair step records the
-other pairs it routes as edges beside its log, never in it, and replay
-sets them after undoing the moves.  A record keeps no fact its bridge or
-log holds: render_trace reads the block columns and bend row off the
-bridge, and the pushes, the moves that end in a block column, off the
-log.  The steps route, and key every lookup, on plain (r, c) tuples; the
-linkage is folded back out of the finished trace by the same code that
-replays it, and replay builds its Vertex objects with grid's one constructor.
+indexes and re-keys the pairs in one pass.  Every evacuation is one call
+to drain_block, which is handed the block's terminals to walk out and
+finds its own spare rows; no step uses the max-flow engine.  Each step
+logs its moves in the order made, and steps keep each pair's (s, t)
+order, so replay undoes a step's moves, last first, onto the later paths
+as they stand.  A line-pair step records the other pairs it routes as
+edges beside its log, never in it, and replay sets them after undoing
+the moves.  A record keeps no fact its bridge or log holds: render_trace
+reads the block columns and bend row off the bridge, and off the log the
+pushes, the moves that end in a block column and come first, and the
+matching, the 3-cell moves after them.  The steps route, and key every
+lookup, on plain (r, c) tuples; the linkage is folded back out of the
+finished trace by the same code that replays it, and replay builds its
+Vertex objects with grid's one constructor.
 
 Internal failures raise SolverInvariantError carrying the trace: the
 construction cannot fail on a legal input, so a failure is a bug, never
@@ -121,7 +122,6 @@ class TwoColumnStep:
     slack: int
     bridge: tuple[Cell, ...]
     top_rows: tuple[int, ...]
-    matching: dict[int, int]
     moves: tuple  # as LinePairStep.moves
 
 
@@ -159,8 +159,8 @@ def render_trace(trace: SolverTrace) -> str:
             pushes = [path for _, _, path in st.moves if path[-1][1] in cols]
             shown = ",".join(f"{tuple(path[0])}:{'down' if len(path) == 2 else 'across'}"
                              for path in pushes) or "-"
-            matching = ",".join(
-                f"{a}->{b}" for a, b in sorted(st.matching.items())) or "-"
+            detours = sorted((p[0][0], p[1][0]) for _, _, p in st.moves[len(pushes):] if len(p) == 3)
+            matching = ",".join(f"{a}->{b}" for a, b in detours) or "-"
             lines.append(
                 f"step {n}: two-columns pair={st.pair + 1} cols={cols} slack={st.slack}"
                 f" bend-row={st.bridge[-2][0]} bridge={_fmt_path(st.bridge)} top-rows={st.top_rows}"
@@ -215,27 +215,27 @@ def _end(r: int, x: Cell, free: Cell | None, dest_cols, occupied) -> Cell:
 
 
 def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
-                plain) -> tuple[dict[Cell, list[Cell]], dict[int, int]]:
+                plain) -> dict[Cell, list[Cell]]:
     """Walk the plain terminals out of the block into the destination
     columns; the block is one or two columns wide.  occupied maps each
     terminal's cell to its partner's cell (its keys are the occupied
     cells); the block terminals outside plain, its anchors, stay.
 
-    Returns the paths, keyed by each plain terminal's cell, and the
-    matching: an injective map from the rows that need a detour, those
-    with two plain terminals or one facing a full destination row, to
-    spare rows, which hold no plain terminal and have a free destination
-    entry.  The spare rows are one lazy pass over rows, in label order:
-    each needy row, in label order, takes the next spare row whose block
-    entry under one of its terminals, in block-column order, is free, so
-    a spare row passed over is never offered again.  No step loses a
-    detour by that.  In a one-column block (a line-pair step, the
-    two-row base) a spare row fails only when its block cell is taken,
-    and so fails every row.  In a two-column step every row full outside
-    the block is a top row, so only a doubled row needs a detour, and a
-    spare row holds at most one anchor (s1 and t1 sit on distinct rows),
-    so a doubled row takes the first spare row.  The solver's counting
-    arguments guarantee enough spare rows.
+    Returns the paths, keyed by each plain terminal's cell.  The rows that
+    need a detour, those with two plain terminals or one facing a full
+    destination row, are matched injectively to spare rows, which hold no
+    plain terminal and have a free destination entry; a detour is a 3-cell
+    path from its row through its spare row.  The spare rows are one lazy
+    pass over rows, in label order: each needy row, in label order, takes
+    the next spare row whose block entry under one of its terminals, in
+    block-column order, is free, so a spare row passed over is never
+    offered again.  No step loses a detour by that.  In a one-column block
+    (a line-pair step, the two-row base) a spare row fails only when its
+    block cell is taken, and so fails every row.  In a two-column step
+    every row full outside the block is a top row, so only a doubled row
+    needs a detour, and a spare row holds at most one anchor (s1 and t1
+    sit on distinct rows), so a doubled row takes the first spare row.  The
+    solver's counting arguments guarantee enough spare rows.
 
     A plain terminal crosses straight into a free entry of its own
     destination row; a matched row's detour goes down its column into
@@ -251,11 +251,11 @@ def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
     only for one free entry in each destination row.
     """
     if not plain:
-        return {}, {}
+        return {}
     plain_rows: dict[int, list[Cell]] = {}  # in label order
     for x in sorted(plain):
         plain_rows.setdefault(x[0], []).append(x)
-    out, matching, spares = {}, {}, None
+    out, spares = {}, None
     for r, xs in plain_rows.items():
         free = _free_dest(r, dest_cols, occupied)
         if len(xs) > 1 or free is None:
@@ -265,13 +265,12 @@ def drain_block(rows, block_cols, dest_cols, occupied: dict[Cell, Cell],
                              if x[1] == c and (spare, c) not in occupied), (None, None))
             if x is None:
                 raise SolverInvariantError("rows needing a detour outnumber spare rows")
-            matching[r] = spare
             spare_free = _free_dest(spare, dest_cols, occupied)
             out[x] = [x, (spare, x[1]), _end(spare, x, spare_free, dest_cols, occupied)]
             xs = [y for y in xs if y != x]
         for x in xs:
             out[x] = [x, _end(r, x, free, dest_cols, occupied)]
-    return out, matching
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +375,8 @@ def _base_two_rows(board):
     # cell finds a free column to detour through
     top, target = board.rows
     flipped = {flip(v): flip(w) for v, w in board.occupied.items()}
-    drained, _ = drain_block(board.cols, (top,), (target,), flipped,
-                             [v for v, w in flipped.items() if v[1] == top != w[1]])
+    drained = drain_block(board.cols, (top,), (target,), flipped,
+                          [v for v, w in flipped.items() if v[1] == top != w[1]])
     stub = {flip(x): [flip(w) for w in path] for x, path in drained.items()}
     return TwoRowsStep(target, {idx: tuple(stub.get(s, [s]) + stub.get(t, [t])[::-1])
                                 for idx, (s, t) in board.pairs.items()})
@@ -401,7 +400,7 @@ def _case_line_pair(board, i1):
         elif r < w[0]:
             inside.append(board.idx_of[w])
     edges = () if len(inside) == 1 else tuple([(i, board.pairs[i]) for i in sorted(inside) if i != i1])
-    drained, _ = drain_block(board.rows, (col0,), board.cols, board.occupied, plain)
+    drained = drain_block(board.rows, (col0,), board.cols, board.occupied, plain)
     for x, path in drained.items():
         board.relocate(x, path)
     for i in inside:
@@ -463,14 +462,14 @@ def _case_two_columns(board, i1):
     # every plain block terminal now sits on a low row
     plain = {(r, c) for c in block_cols for r in board.by_col[c]} - anchors
     low_rows = (r for r in rows if r not in top_rows)
-    drained, matching = drain_block(low_rows, block_cols, rest_cols, occupied, plain)
+    drained = drain_block(low_rows, block_cols, rest_cols, occupied, plain)
     for cur in sorted(drained):
         board.relocate(cur, drained[cur])
     if board.by_col[s1[1]] != {s1[0]} or board.by_col[t1[1]] != {t1[0]}:
         raise SolverInvariantError("a terminal was left behind in the deleted columns")
     board.route(i1)
     moves, board.moves = tuple(board.moves), []
-    return TwoColumnStep(i1, slack, tuple(bridge), top_rows, matching, moves)
+    return TwoColumnStep(i1, slack, tuple(bridge), top_rows, moves)
 
 
 def _next_step(board, steps):

@@ -21,6 +21,12 @@ def routing_margin_holds(x: int, y: int) -> bool:
     return x * (y - 1) > x + y - 3
 
 
+def detours(paths) -> dict[int, int]:
+    """The row matching a drain_block result holds: each 3-cell path is a
+    detour, from its terminal's row to the spare row of its second cell."""
+    return {x[0]: p[1][0] for x, p in paths.items() if len(p) == 3}
+
+
 def brute_ab_feasible(sub: Subgrid, a_set, b_set, forbidden, k: int) -> bool:
     """Exhaustive search: do k disjoint A-B paths exist?
 

@@ -14,7 +14,7 @@ from rooklink import (LinkageProblem, ProductGraph, SolverInvariantError,
 from rooklink.cli import main
 from rooklink.solver import drain_block
 
-from helpers import brute_linkable, routing_margin_holds
+from helpers import brute_linkable, detours, routing_margin_holds
 
 V = Vertex
 
@@ -164,7 +164,8 @@ def test_criterion_6_counting_guards(capsys):
             with pytest.raises(SolverInvariantError):
                 drain_block(rows, block_cols, dest_cols, full_occ, plain)
             continue
-        out, matching = drain_block(rows, block_cols, dest_cols, full_occ, plain)
+        out = drain_block(rows, block_cols, dest_cols, full_occ, plain)
+        matching = detours(out)
         assert len(set(matching.values())) == len(matching), "matching not injective"
         assert set(matching) == needy and set(matching.values()) <= spare
         drains += 1

@@ -56,7 +56,7 @@ STEP_FIELDS = {
     "SingleRowStep": ("row", "paths"),
     "TwoRowsStep": ("target_row", "paths"),
     "LinePairStep": ("pair", "bridge", "staying", "moves", "edges"),
-    "TwoColumnStep": ("pair", "slack", "bridge", "top_rows", "matching", "moves"),
+    "TwoColumnStep": ("pair", "slack", "bridge", "top_rows", "moves"),
 }
 
 

@@ -61,7 +61,7 @@ class TestInstanceFormat:
         assert serialize_instance(whole) == "dims 3 3\npair 0 1 2 3\n"
 
     def test_missing_dims(self):
-        with pytest.raises(InstanceFormatError):
+        with pytest.raises(InstanceFormatError, match="pair before dims"):
             parse_instance("pair 0 0 1 1\n")
 
     def test_unknown_directive(self):
@@ -210,6 +210,35 @@ class TestCliVerify:
         link.write_bytes(b"path 1: (0,0) (2,0) (2,1) \xff\n")
         assert main(["verify", inst, str(link)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+INSTANCE = "dims 2 3\npair 0 0 2 1\n"
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["solve", "a.txt"], {"a.txt": "dims 2 3\ndims 2 3\n"}, "line 2: duplicate dims line"),
+    (["solve", "a.txt"], {"a.txt": "dims 2\n"}, "line 1: expected 'dims D1 D2'"),
+    (["solve", "a.txt"], {"a.txt": "dims 2 x\n"}, "line 1: dims must be integers"),
+    (["solve", "a.txt"], {"a.txt": "dims 2 3\npair 0 0 1 y\n"},
+     "line 2: coordinates must be integers"),
+    (["solve", "a.txt"], {"a.txt": ""}, "missing dims line"),
+    (["solve", "a.txt"], {"a.txt": "dims -1 3\n"}, "dims must be nonnegative"),
+    (["verify", "a.txt", "a.out"], {"a.txt": INSTANCE, "a.out": "path 0: (0,0) (2,0) (2,1)\n"},
+     "line 1: bad or duplicate path number 0"),
+    (["verify", "a.txt", "a.out"],
+     {"a.txt": INSTANCE, "a.out": "path 1: (0,0) (2,0) (2,1)\npath 1: (0,0) (2,1)\n"},
+     "line 2: bad or duplicate path number 1"),
+    (["verify", "a.txt", "a.out"], {"a.txt": INSTANCE, "a.out": "path 1:\n"},
+     "line 1: empty path"),
+    (["fuzz", "--count", "1", "--d1-range", "3:2"], {}, "ranges must satisfy 0 <= MIN <= MAX"),
+], ids=["duplicate-dims", "dims-arity", "dims-not-int", "coordinate-not-int", "empty-file",
+        "negative-dims", "path-number-0", "duplicate-path-number", "empty-path", "reversed-range"])
+def test_malformed_input_exits_2_with_its_message(tmp_path, capsys, argv, files, message):
+    for name, text in files.items():
+        write(tmp_path, name, text)
+    assert main([str(tmp_path / arg) if arg in files else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestCliOracle:

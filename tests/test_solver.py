@@ -23,7 +23,7 @@ from rooklink.solver import (LinePairStep, SingleRowStep, SolverTrace, Transpose
                              TwoColumnStep, TwoRowsStep, _Board, _finish, _next_step,
                              bridge_path, drain_block)
 
-from helpers import routing_margin_holds
+from helpers import detours, routing_margin_holds
 
 V = Vertex
 
@@ -258,20 +258,20 @@ class TestBridge:
 
 
 class TestDoubledRowMatching:
-    # the matching drain_block returns alongside its paths
+    # the matching drain_block's detours hold, read off its paths
     def test_lowest_label_assignment(self):
         occupied = unpaired(V(1, 0), V(1, 1), V(2, 0), V(2, 1))
-        _, m = drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set(occupied))
+        m = detours(drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set(occupied)))
         assert m == {1: 3, 2: 4}
 
     def test_no_doubled_rows(self):
         occupied = unpaired(V(1, 0), V(3, 1))
-        assert drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set(occupied))[1] == {}
+        assert detours(drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set(occupied))) == {}
 
     def test_counting_bound(self):
         # four plain terminals on four rows leave exactly two spare rows
         occupied = unpaired(V(1, 0), V(1, 1), V(2, 0), V(2, 1))
-        _, m = drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set(occupied))
+        m = detours(drain_block((1, 2, 3, 4), (0, 1), (2, 3), occupied, set(occupied)))
         assert len(m) == 2
         # a third doubled row would outnumber them
         occupied.update(unpaired(V(3, 0), V(3, 1)))
@@ -281,18 +281,18 @@ class TestDoubledRowMatching:
     def test_anchor_rows_are_spare(self):
         anchors = {V(3, 0)}
         occupied = unpaired(V(1, 0), V(1, 1), V(3, 0))
-        _, m = drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set(occupied) - anchors)
+        m = detours(drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set(occupied) - anchors))
         assert m == {1: 2}
 
 
 class TestDrainBlock:
     def test_single_terminal_crosses_directly(self):
-        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), unpaired(V(2, 0)), {V(2, 0)})
+        out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), unpaired(V(2, 0)), {V(2, 0)})
         assert out == {V(2, 0): [V(2, 0), V(2, 2)]}
 
     def test_doubled_row_detours_through_spare_row(self):
         occupied = unpaired(V(2, 0), V(2, 1))
-        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set(occupied))
+        out = drain_block((1, 2, 3), (0, 1), (2, 3), occupied, set(occupied))
         assert out[V(2, 0)] == [V(2, 0), V(1, 0), V(1, 2)]
         assert out[V(2, 1)] == [V(2, 1), V(2, 2)]
 
@@ -303,8 +303,8 @@ class TestDrainBlock:
         # but row 1 is not offered again, and row 3 takes row 4
         occupied = unpaired(V(0, 0), V(0, 2), V(1, 0), V(3, 0), V(3, 1))
         plain = {V(0, 0), V(3, 0), V(3, 1)}
-        out, m = drain_block(range(5), (0, 1), (2,), occupied, plain)
-        assert m == {0: 2, 3: 4}
+        out = drain_block(range(5), (0, 1), (2,), occupied, plain)
+        assert detours(out) == {0: 2, 3: 4}
         assert out == {V(0, 0): [V(0, 0), V(2, 0), V(2, 2)],
                        V(3, 0): [V(3, 0), V(4, 0), V(4, 2)], V(3, 1): [V(3, 1), V(3, 2)]}
         # with row 4 gone, row 3 finds no spare row left
@@ -316,20 +316,20 @@ class TestDrainBlock:
         # the first spare row holds an anchor in one block column, so the
         # doubled row goes down the other one into it
         occupied = unpaired(V(0, 0), V(0, 1), V(1, anchor_col))
-        out, m = drain_block((0, 1, 2), (0, 1), (2,), occupied, {V(0, 0), V(0, 1)})
+        out = drain_block((0, 1, 2), (0, 1), (2,), occupied, {V(0, 0), V(0, 1)})
         down, stays = V(0, 1 - anchor_col), V(0, anchor_col)
-        assert m == {0: 1}
+        assert detours(out) == {0: 1}
         assert out == {down: [down, V(1, 1 - anchor_col), V(1, 2)], stays: [stays, V(0, 2)]}
 
     def test_partner_column_first_on_a_straight_hop(self):
         # (2, 0)'s partner sits in column 3, so it lands in (2, 3) while
         # that cell is free; taken, or outside the destination columns, it
         # falls back to the row's first free cell
-        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {V(2, 0): V(5, 3)}, {V(2, 0)})
+        out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {V(2, 0): V(5, 3)}, {V(2, 0)})
         assert out == {V(2, 0): [V(2, 0), V(2, 3)]}
         for taken, partner in ((unpaired(V(2, 3)), V(5, 3)), ({}, V(5, 1)), ({}, V(5, 7))):
             occupied = {V(2, 0): partner, **taken}
-            out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), occupied, {V(2, 0)})
+            out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), occupied, {V(2, 0)})
             assert out == {V(2, 0): [V(2, 0), V(2, 2)]}
 
     def test_partner_column_first_on_a_spare_row_detour(self):
@@ -337,9 +337,9 @@ class TestDrainBlock:
         # partner's column 3, and (2, 1) straight into its partner's column
         # 4; with (1, 3) taken the detour ends on row 1's first free cell
         partner = {V(2, 0): V(0, 3), V(2, 1): V(0, 4)}
-        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), partner, set(partner))
+        out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), partner, set(partner))
         assert out == {V(2, 0): [V(2, 0), V(1, 0), V(1, 3)], V(2, 1): [V(2, 1), V(2, 4)]}
-        out, _ = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {**partner, **unpaired(V(1, 3))},
+        out = drain_block((1, 2, 3), (0, 1), (2, 3, 4), {**partner, **unpaired(V(1, 3))},
                              set(partner))
         assert out == {V(2, 0): [V(2, 0), V(1, 0), V(1, 2)], V(2, 1): [V(2, 1), V(2, 4)]}
 
@@ -369,7 +369,7 @@ class TestDrainBlock:
                 with pytest.raises(SolverInvariantError):
                     drain_block(rows, block_cols, dest_cols, occupied, block)
                 continue
-            out, _ = drain_block(rows, block_cols, dest_cols, occupied, block)
+            out = drain_block(rows, block_cols, dest_cols, occupied, block)
             assert set(out) == block
             ends = [p[-1] for p in out.values()]
             assert len({e[0] for e in ends}) == len(ends)
@@ -482,7 +482,7 @@ class TestTwoColumnCase:
         assert isinstance(step, TwoColumnStep)
         assert step.slack == 1
         assert pushes(step) == {V(4, 0): "down"}
-        assert step.matching == {0: 2}
+        assert detours({path[0]: path for _, _, path in step.moves}) == {0: 2}
         assert step.moves[1] == (1, 0, (V(0, 0), V(2, 0), V(2, 2)))
 
     def test_packed_column_sends_its_last_mover_across(self, no_flow):
@@ -766,6 +766,19 @@ class TestPinnedOutput:
             first_line, "step 2: transpose reason=narrow-side-first",
             "step 3: single-row row=2 pairs=2"]
 
+    def test_matching_lists_its_rows_in_numeric_order(self):
+        # the 203rd board of a seeded draw at the bound, (15, 4): two rows
+        # detour, and row 13 follows row 6, as a string sort would not have
+        # it.  Recorded while the step record still stored its matching
+        rng = random.Random(11)
+        for _ in range(203):
+            d1, d2 = rng.randint(2, 30), rng.randint(2, 30)
+            p = rooklink.oracle.random_problem(ProductGraph(d1, d2), (d1 + d2) // 2, rng)
+        assert (d1, d2) == (15, 4)
+        assert render_trace(solve_and_check(p)[1]).splitlines()[0] == (
+            "step 1: two-columns pair=1 cols=(2, 3) slack=11 bend-row=2 bridge=(2,2)(2,3)(7,3)"
+            " top-rows=(2,) into-block=0 in-block=4 pushes=- matching=6->0,13->1")
+
     def test_row_filled_by_earlier_moves_reads_as_full(self):
         # step 1 moves (6, 2) to (6, 5), and steps 1 and 2 move (5, 2) on to
         # (5, 5), so at step 3 rows 5 and 6 are full outside block columns 6
@@ -859,12 +872,13 @@ def check_two_column_records(p) -> tuple[int, int, int]:
     the moves that end in one, come first, each from a top row to a low
     row in 2 or 3 cells.  The drain moves walk each plain block terminal
     out once, a pushed one after its push, and the 3-cell ones are the
-    matched rows, each going down its own column.  A matched row is a
-    doubled row: two drain moves start on it.
+    matched rows, each going down its own column, which the line's
+    matching lists.  A matched row is a doubled row: two drain moves
+    start on it.
     """
     link, trace = solve(p)
     seen = [0, 0, 0]
-    for step in trace.steps:
+    for step, line in zip(trace.steps, render_trace(trace).splitlines()):
         if not isinstance(step, TwoColumnStep):
             continue
         cols = (step.bridge[0][1], step.bridge[-1][1])
@@ -881,14 +895,15 @@ def check_two_column_records(p) -> tuple[int, int, int]:
         drained = {(idx, side) for idx, side, _ in drains}
         assert len(drained) == len(drains)
         assert {(idx, side) for idx, side, _ in pushed} <= drained
-        detours = {path[0][0]: path[1][0] for _, _, path in drains if len(path) == 3}
-        assert step.matching == detours
+        matched = detours({path[0]: path for _, _, path in drains})
+        shown = ",".join(f"{r}->{spare}" for r, spare in sorted(matched.items())) or "-"
+        assert line.endswith(f" matching={shown}")
         assert all(path[1][1] == path[0][1] for _, _, path in drains if len(path) == 3)
         starts = Counter(path[0][0] for _, _, path in drains)
-        assert all(starts[r] == 2 for r in step.matching)
+        assert all(starts[r] == 2 for r in matched)
         seen[0] += 1
         seen[1] += len(pushed)
-        seen[2] += len(detours)
+        seen[2] += len(matched)
     assert replay(p, trace) == link
     return tuple(seen)
 
@@ -908,8 +923,8 @@ def test_two_column_records_hold_on_seeded_boards():
     for _ in range(300):
         d1, d2 = rng.randint(2, 6), rng.randint(2, 6)
         small.append(check_two_column_records(_bounded(rng, d1, d2, max_guaranteed_pairs(d1, d2))))
-    steps, _, detours = map(sum, zip(*large))
-    assert steps > 0 and detours > 0
+    steps, _, matched = map(sum, zip(*large))
+    assert steps > 0 and matched > 0
     assert min(map(sum, zip(*small))) > 0
 
 
