@@ -54,7 +54,7 @@ def _refuse(command: str, n: int) -> int:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             return fh.read()
     except OSError as err:
         raise InstanceFormatError(f"cannot read {path}: {err.strerror}") from None

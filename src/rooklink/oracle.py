@@ -21,6 +21,7 @@ the flow engine.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, islice, permutations, product
@@ -123,12 +124,14 @@ def exhaustive_solve(problem: LinkageProblem, node_budget: int | None = None) ->
     Paths are grown one vertex at a time in fixed pair order (hardest
     pair first: fewest short routes), with terminals of other pairs
     excluded and a reachability cut: every pending pair must stay
-    connected in what is left of the grid.  The search runs on the
-    board's cached table (_board): vertices are indices, vertex sets
-    are int bitmasks, and the depth-first search keeps its own stack,
-    so path length is not limited by the recursion limit.  Neighbours
-    are tried in lexicographic order; nodes_explored counts every
-    vertex the search appends to a path, pair starts included.
+    connected in what is left of the grid.  The cut checks only pairs
+    whose ends are not neighbours: the others always stay connected.
+    The search runs on the board's cached table (_board): vertices are
+    indices, vertex sets are int bitmasks, and the depth-first search
+    keeps its own stack, so path length is not limited by the recursion
+    limit.  Neighbours are tried in lexicographic order; nodes_explored
+    counts every vertex the search appends to a path, pair starts
+    included.
     """
     pairs = problem.pairs
     k = len(pairs)
@@ -148,10 +151,12 @@ def exhaustive_solve(problem: LinkageProblem, node_budget: int | None = None) ->
     order = sorted(range(k), key=route_score)  # stable: ties keep pair order
     src = [ends[i][0] for i in order]
     dst = [ends[i][1] for i in order]
+    # a pair whose ends are neighbours stays connected: no path uses a terminal
+    far = [i for i in range(k) if not masks[src[i]] >> dst[i] & 1]
 
     def pending_ok(pos: int, used: int) -> bool:
-        for s, t in zip(src[pos:], dst[pos:]):
-            goal = 1 << t
+        for i in far[bisect_left(far, pos):]:
+            s, goal = src[i], 1 << dst[i]
             seen = frontier = 1 << s
             closed = used | (terminals ^ goal)  # s is closed too, but already seen
             while frontier:
@@ -294,8 +299,9 @@ def _row_tables(m: int):
             for p in permutations(range(m))]
 
 
-def _patterns(m: int, n: int, cells: int, tables, square: bool):
-    """One m x n terminal pattern with `cells` cells per orbit, lazily.
+def _patterns(m: int, n: int, cells: int, square: bool):
+    """Each m x n terminal pattern with `cells` cells, one per orbit,
+    lazily, as (cells, moves): its cells and its stabiliser's generators.
 
     The orbits are those of row and column permutations, and of
     transposition if square (then m == n).  A pattern is the tuple of its
@@ -303,30 +309,53 @@ def _patterns(m: int, n: int, cells: int, tables, square: bool):
     it only through that sort.  The canonical pattern of an orbit is the
     largest tuple that a row permutation (after the transposition, if
     square) sorts to.  Candidates are the descending tuples with `cells`
-    bits, and each canonical one is yielded with its fixers, which the
-    canonicity test meets on its way: a (p, flipped, image) for each row
-    permutation p, after the transposition if flipped, whose image of
-    the column masks sorts back to the pattern (the identity among them).
+    bits, and the canonicity test meets the fixers on its way: each row
+    permutation p, after the transposition if flipped, whose image of the
+    column masks sorts back to the pattern.  Every symmetry is a fixer
+    followed by a permutation of equal columns, so the generators are one
+    element per fixer and a swap and a cycle of each run of equal
+    nonempty columns.  The cells are (row, column) pairs in lexicographic
+    order, and each generator but the identity is a (g, g^-1) pair of
+    permutations of their indices.
     """
-    def fixers(pattern):
+    tables = _row_tables(m)
+
+    def stabiliser(pattern):
         views = [(pattern, False)]
         if square:
             views.append((tuple(sum(1 << m - 1 - c for c, mask in enumerate(pattern)
                                     if mask >> m - 1 - r & 1) for r in range(m)), True))
-        found = []
+        fixers = []
         for (view, flipped), (p, table) in product(views, tables):
             image = [table[mask] for mask in view]
             if (key := tuple(sorted(image, reverse=True))) > pattern:
-                return []
+                return None
             if key == pattern:
-                found.append((p, flipped, image))
-        return found
+                fixers.append((p, flipped, image))
+        coords = [(r, c) for r in range(m) for c in range(n) if pattern[c] >> m - 1 - r & 1]
+        index = {cell: i for i, cell in enumerate(coords)}
+        gens = set()
+        start = 0
+        for mask, run in groupby(pattern):
+            end = start + len(list(run)) - 1
+            if mask and end > start:
+                for move in ({start: start + 1, start + 1: start},
+                             {c: c + 1 if c < end else start for c in range(start, end + 1)}):
+                    gens.add(tuple(index[r, move.get(c, c)] for r, c in coords))
+            start = end + 1
+        for p, flipped, image in fixers:
+            # tau[c]: the pattern column that image column c sorts to
+            tau = {c: i for i, c in enumerate(sorted(range(n), key=image.__getitem__, reverse=True))}
+            gens.add(tuple(index[(p[c], tau[r]) if flipped else (p[r], tau[c])]
+                           for r, c in coords))
+        gens.discard(tuple(range(cells)))
+        return coords, [(g, sorted(range(cells), key=g.__getitem__)) for g in gens]
 
     def grow(prefix, top, left):
         slots = n - len(prefix)
         if not slots:
-            if found := fixers(prefix):
-                yield prefix, found
+            if found := stabiliser(prefix):
+                yield found
             return
         for mask in range(top, -1, -1):
             bits = mask.bit_count()
@@ -334,37 +363,6 @@ def _patterns(m: int, n: int, cells: int, tables, square: bool):
                 yield from grow(prefix + (mask,), mask, left - bits)
 
     yield from grow((), (1 << m) - 1, cells)
-
-
-def _symmetries(pattern: tuple[int, ...], m: int, fixers):
-    """A pattern's cells, and generators of its stabiliser acting on them.
-
-    The cells are (row, column) pairs in lexicographic order, and each
-    generator is a permutation of their indices.  The generators are a
-    swap and a cycle of each run of equal nonempty columns (together
-    they generate every permutation of the run), and one element for
-    each of _patterns' fixers: every symmetry is one of those elements
-    followed by a permutation of equal columns.
-    """
-    n = len(pattern)
-    cells = [(r, c) for r in range(m) for c in range(n) if pattern[c] >> m - 1 - r & 1]
-    index = {cell: i for i, cell in enumerate(cells)}
-    gens = set()
-    start = 0
-    for mask, run in groupby(pattern):
-        end = start + len(list(run)) - 1
-        if mask and end > start:
-            for move in ({start: start + 1, start + 1: start},
-                         {c: c + 1 if c < end else start for c in range(start, end + 1)}):
-                gens.add(tuple(index[r, move.get(c, c)] for r, c in cells))
-        start = end + 1
-    for p, flipped, image in fixers:
-        # tau[c]: the pattern column that image column c sorts to
-        tau = {c: i for i, c in enumerate(sorted(range(n), key=image.__getitem__, reverse=True))}
-        gens.add(tuple(index[(p[c], tau[r]) if flipped else (p[r], tau[c])]
-                       for r, c in cells))
-    gens.discard(tuple(range(len(cells))))
-    return cells, gens
 
 
 def _pairing_rank(mate: list[int]) -> int:
@@ -386,10 +384,10 @@ def _orbit_instances(grid: ProductGraph, k: int):
     Row permutations, column permutations and, on a square board,
     transposition map linkages to linkages, so every pairing is
     feasible exactly when its orbit representative is.  Orbits are
-    enumerated on the board of _sweep_board in two stages: the canonical
-    terminal patterns (_patterns), then each pattern's pairings modulo
-    its stabiliser, keeping the first pairing of each orbit in
-    all_pairings order and marking the rest of that orbit seen.
+    enumerated on the board of _sweep_board in two stages: each canonical
+    terminal pattern with its stabiliser's generators (_patterns), then
+    its pairings modulo that stabiliser, keeping the first pairing of each
+    orbit in all_pairings order and marking the rest of that orbit seen.
     """
     flipped = grid.n_rows > grid.n_cols
     m, n, square = _sweep_board(grid, k)
@@ -400,10 +398,8 @@ def _orbit_instances(grid: ProductGraph, k: int):
         verts = [flip((0, c)) if flipped else (0, c) for c in range(2 * k)]
         yield LinkageProblem(grid, tuple(zip(verts[::2], verts[1::2])))
         return
-    for pattern, fixers in _patterns(m, n, 2 * k, _row_tables(m), square):
-        cells, gens = _symmetries(pattern, m, fixers)
+    for cells, moves in _patterns(m, n, 2 * k, square):
         verts = [flip(cell) if flipped else cell for cell in cells]
-        moves = [(g, sorted(range(2 * k), key=g.__getitem__)) for g in gens]
         seen = bytearray(prod(range(1, 2 * k, 2)))  # one flag per pairing, by rank
         for rank, pairing in enumerate(all_pairings(range(2 * k))):
             if seen[rank]:

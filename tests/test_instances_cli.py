@@ -125,6 +125,12 @@ class TestCliSolve:
         assert main(["solve", str(inst)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        inst = tmp_path / "a.txt"
+        inst.write_bytes(b"\xef\xbb\xbfdims 0 3\npair 0 0 0 1\n")
+        assert main(["solve", str(inst)]) == 0
+        assert capsys.readouterr().out == "path 1: (0,0) (0,1)\n"
+
     def test_trace_flag_appends_case_log(self, tmp_path, capsys):
         inst = write(tmp_path, "a.txt", "dims 2 3\npair 0 0 2 1\npair 1 2 0 3\n")
         assert main(["solve", inst, "--trace"]) == 0
@@ -210,6 +216,13 @@ class TestCliVerify:
         link.write_bytes(b"path 1: (0,0) (2,0) (2,1) \xff\n")
         assert main(["verify", inst, str(link)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        inst = write(tmp_path, "a.txt", "dims 2 3\npair 0 0 2 1\n")
+        link = tmp_path / "a.out"
+        link.write_bytes(b"\xef\xbb\xbfpath 1: (0,0) (2,0) (2,1)\n")
+        assert main(["verify", inst, str(link)]) == 0
+        assert capsys.readouterr().out == "pass\n"
 
 
 INSTANCE = "dims 2 3\npair 0 0 2 1\n"

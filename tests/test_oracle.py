@@ -593,6 +593,30 @@ class TestOrbitSweep:
         (p,) = rooklink.oracle._orbit_instances(ProductGraph(9, 0), 5)
         assert p.pairs == tuple((V(a, 0), V(b, 0)) for a, b in next(all_pairings(range(10))))
 
+    def test_one_row_cut_skips_neighbouring_pairs(self):
+        # the representative pairs neighbouring cells, which stay connected,
+        # so no reachability walk runs for 5,000 pending pairs at each step
+        res = find_infeasible_pairing(0, 9999, 5000)
+        assert (res.found, res.completed, res.instances_checked, res.nodes_explored) == (
+            None, True, 1, 10000)
+
+    @pytest.mark.parametrize("m,n,cells,square", [(3, 3, 6, True), (3, 4, 6, False),
+                                                  (2, 5, 8, False)])
+    def test_pattern_generators_are_symmetries(self, m, n, cells, square):
+        transposed = False
+        for coords, moves in rooklink.oracle._patterns(m, n, cells, square):
+            assert coords == sorted(coords) and len(coords) == cells
+            # same[i][j]: whether cells i and j share a row, and a column
+            same = [[(a[0] == b[0], a[1] == b[1]) for b in coords] for a in coords]
+            for g, inv in moves:
+                assert sorted(g) == list(range(cells)) != list(g)
+                assert [g[i] for i in inv] == list(range(cells))
+                image = [[same[g[i]][g[j]] for j in range(cells)] for i in range(cells)]
+                if image != same:
+                    assert image == [[pair[::-1] for pair in row] for row in same]
+                    transposed = True
+        assert transposed == square
+
     def test_one_row_verdict_is_unchanged(self):
         res = find_infeasible_pairing(0, 5, 3, exhaustive=True)
         assert (res.found, res.completed, res.instances_checked, res.nodes_explored) == (
