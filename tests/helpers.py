@@ -104,30 +104,38 @@ def brute_linkable(problem: LinkageProblem) -> bool:
     return not pairs or route(0, pairs[0][0], frozenset(v for pair in pairs for v in pair))
 
 
+def _reached(sub: Subgrid, alive, start) -> set:
+    """The vertices of alive reachable from start inside alive."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        u = frontier.pop()
+        for w in sub.neighbors(u):
+            if w in alive and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
 def brute_connectivity(sub: Subgrid) -> int:
     """Minimum vertex cut by direct enumeration of removal sets."""
     verts = sorted(sub.vertices())
     n = len(verts)
-
-    def connected(alive) -> bool:
-        alive = set(alive)
-        start = next(iter(sorted(alive)))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for w in sub.neighbors(u):
-                if w in alive and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(alive)
-
     for size in range(n - 1):
         for removal in combinations(verts, size):
-            alive = [v for v in verts if v not in set(removal)]
-            if len(alive) >= 2 and not connected(alive):
+            alive = {v for v in verts if v not in set(removal)}
+            if len(alive) >= 2 and len(_reached(sub, alive, min(alive))) < len(alive):
                 return size
     return n - 1
+
+
+def brute_local_connectivity(sub: Subgrid, x, y) -> int:
+    """Smallest set of vertices other than x, y that separates nonadjacent
+    x and y, by direct enumeration of removal sets."""
+    others = sorted(v for v in sub.vertices() if v not in (x, y))
+    return next(size for size in range(len(others) + 1)
+                for removal in combinations(others, size)
+                if y not in _reached(sub, set(sub.vertices()) - set(removal), x))
 
 
 def all_pairs_connectivity(sub: Subgrid) -> int:

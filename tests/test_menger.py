@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_pairs_connectivity, brute_ab_feasible, brute_connectivity, check_ab_system
+from helpers import (all_pairs_connectivity, brute_ab_feasible, brute_connectivity,
+                     brute_local_connectivity, check_ab_system)
 from rooklink import ProductGraph, Subgrid, Vertex, connectivity, menger
 from rooklink.menger import disjoint_paths
 
@@ -71,13 +72,14 @@ class TestDisjointPaths:
 
 class TestFlowNet:
     def test_network_is_pinned(self):
-        # arc targets, adjacency order and capacities (built and after the
-        # max flow) of seeded networks on subgrids with gapped labels,
-        # forbidden cells and unsorted A/B lists; recorded before the
-        # builder took a row-major list of its active vertices
+        # arc targets, adjacency order and capacities of seeded networks on
+        # subgrids with gapped labels, forbidden cells and unsorted A/B
+        # lists, as built and after the max flow; both recorded before
+        # max_flow's one-hub pre-pass, which takes the paths the BFS would
+        # take first, in the same order, so that the flows stay the same
         rng = random.Random(18)
         base = ProductGraph(11, 11)
-        digest = hashlib.sha256()
+        built, flowed = hashlib.sha256(), hashlib.sha256()
         for _ in range(300):
             rows = rng.sample(range(12), rng.randint(1, 8))
             cols = rng.sample(range(12), rng.randint(1, 8))
@@ -88,10 +90,32 @@ class TestFlowNet:
             a_set = rng.sample(verts, rng.randint(1, min(4, len(verts))))
             b_set = rng.sample(verts, rng.randint(1, min(4, len(verts))))
             net = menger._FlowNet(sub, verts, a_set, b_set)
-            digest.update(repr((net.to, net.adj, bytes(net.cap))).encode())
-            digest.update(b"%d" % net.max_flow() + bytes(net.cap))
-        assert digest.hexdigest() == (
-            "910cc5c479be8df9b102353b3f89e90ab9cda02f559c48a6d53cedef4335b580")
+            built.update(repr((net.to, net.adj, bytes(net.cap))).encode())
+            flowed.update(b"%d" % net.max_flow() + bytes(net.cap))
+        assert built.hexdigest() == (
+            "65da604e7d31d233ce490a79143b67f9e8d1d8126d36c0fd8092de77754452d0")
+        assert flowed.hexdigest() == (
+            "30afceaee21048238e66220a691f7c9e0627e1c8292634ee32f84af0c4ca75e0")
+
+    def test_rearmed_network_matches_a_fresh_one(self):
+        # the one network connectivity re-arms per pair, run uncapped, finds
+        # as many paths as a network built for that pair alone (and, on tiny
+        # boards, as the smallest x-y separator found by brute force)
+        rng = random.Random(29)
+        base = ProductGraph(7, 7)
+        for _ in range(60):
+            sub = Subgrid(base, tuple(rng.sample(range(8), rng.randint(2, 5))),
+                          tuple(rng.sample(range(8), rng.randint(2, 5))))
+            cells = list(sub.vertices())
+            pairs = [(x, y) for x, y in (rng.sample(cells, 2) for _ in range(8))
+                     if x[0] != y[0] and x[1] != y[1]]
+            for net, (x, y) in zip(menger._local_flows(sub, pairs), pairs):
+                found = net.max_flow()
+                fresh = menger._FlowNet(sub, [v for v in cells if v not in (x, y)],
+                                        sub.neighbors(x), sub.neighbors(y))
+                assert found == fresh.max_flow(), (sub.rows, sub.cols, x, y)
+                if len(cells) <= 9:
+                    assert found == brute_local_connectivity(sub, x, y)
 
 
 @st.composite
@@ -176,20 +200,26 @@ class TestConnectivity:
             checked += 1
 
     def test_two_flows_per_cell_off_the_first_row_and_column(self, monkeypatch):
-        # 2(m-1)(n-1) capped local flows on m x n, none decomposed into paths
-        built = []
+        # 2(m-1)(n-1) capped local flows on m x n, all on one network, none
+        # decomposed into paths
+        built, flows = [], []
 
         class CountingNet(menger._FlowNet):
             def __init__(self, *args):
                 built.append(args)
                 super().__init__(*args)
 
+            def max_flow(self, cap=None):
+                flows.append(cap)
+                return super().max_flow(cap)
+
             def extract(self, *args):
                 raise AssertionError("connectivity extracted paths")
 
         monkeypatch.setattr(menger, "_FlowNet", CountingNet)
         assert connectivity(full(8, 8)) == 16
-        assert len(built) == 128
+        assert len(flows) == 128
+        assert len(built) == 1
 
     def test_subgrid_connectivity(self):
         sub = Subgrid(ProductGraph(3, 4), (0, 2, 3), (1, 4))
