@@ -39,8 +39,8 @@ EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1`
-# oracle's and sharpness's default: 9.5 s for `sharpness 2 7 --exhaustive` on a 2-vCPU
-# Xeon VM, but about 60 s for `sharpness 1 4999`: pending_ok's BFS is not charged to it
+# oracle's and sharpness's default: 4.5-6.2 s for `sharpness 2 7 --exhaustive` on a 2-vCPU
+# Xeon VM, but 34-36 s for `sharpness 1 4999`: pending_ok's BFS is not charged to it
 ORACLE_NODE_BUDGET = 10_000_000
 MAX_VERTICES = {"connectivity": 400,  # about (d1 + d2)^3.4: 0.15-0.2 s at 20 x 20
                 "oracle": 10_000,  # the oracle's board table: 30-44 MB at 100 x 100

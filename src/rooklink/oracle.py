@@ -21,13 +21,13 @@ the flow engine.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, islice, permutations, product
 from math import comb, factorial, prod
 import os
 import random
+import sys
 
 from .grid import ProductGraph, Vertex, _vertex, flip
 from .problem import Linkage, LinkageProblem, ProblemContractError
@@ -127,9 +127,12 @@ def exhaustive_solve(problem: LinkageProblem, node_budget: int | None = None) ->
     connected in what is left of the grid.  The cut checks only pairs
     whose ends are not neighbours: the others always stay connected.
     The search runs on the board's cached table (_board): vertices are
-    indices, vertex sets are int bitmasks, and the depth-first search
-    keeps its own stack, so path length is not limited by the recursion
-    limit.  Neighbours are tried in lexicographic order; nodes_explored
+    indices, vertex sets are int bitmasks, and the depth-first search is
+    a loop: the last path vertex's neighbours still to try are a local,
+    and a stack holds those of each vertex before it, so path length is
+    not limited by the recursion limit.  Each pair's blocked terminals
+    and the far pending pairs are built once per search.
+    Neighbours are tried in lexicographic order; nodes_explored
     counts every vertex the search appends to a path, pair starts
     included.
     """
@@ -151,14 +154,20 @@ def exhaustive_solve(problem: LinkageProblem, node_budget: int | None = None) ->
     order = sorted(range(k), key=route_score)  # stable: ties keep pair order
     src = [ends[i][0] for i in order]
     dst = [ends[i][1] for i in order]
-    # a pair whose ends are neighbours stays connected: no path uses a terminal
-    far = [i for i in range(k) if not masks[src[i]] >> dst[i] & 1]
+    blocked = [terminals ^ 1 << t for t in dst]  # per pair: the terminals it may not enter
+    # pending[pos]: the first pair from pos on whose ends are not neighbours
+    # (the others stay connected: no path uses a terminal), as (start bit,
+    # goal bit, closed base, the next such pair); each is built once
+    pending, far = [None] * k, None
+    for i in reversed(range(k)):
+        if not masks[src[i]] >> dst[i] & 1:
+            far = (1 << src[i], 1 << dst[i], blocked[i], far)
+        pending[i] = far
 
-    def pending_ok(pos: int, used: int) -> bool:
-        for i in far[bisect_left(far, pos):]:
-            s, goal = src[i], 1 << dst[i]
-            seen = frontier = 1 << s
-            closed = used | (terminals ^ goal)  # s is closed too, but already seen
+    def pending_ok(far, used: int) -> bool:
+        while far:
+            frontier, goal, closed, far = far
+            closed |= used  # closed holds seen too: the start, a terminal, is in it
             while frontier:
                 reach = 0
                 while frontier:
@@ -167,49 +176,55 @@ def exhaustive_solve(problem: LinkageProblem, node_budget: int | None = None) ->
                     frontier ^= low
                 if reach & goal:
                     break
-                frontier = reach & ~(closed | seen)
-                seen |= frontier
+                frontier = reach & ~closed
+                closed |= frontier
             else:
                 return False
         return True
 
-    if not pending_ok(0, 0):
+    if not pending_ok(pending[0], 0):
         return Verdict(False, None, 0)
+    limit = sys.maxsize if node_budget is None else node_budget  # maxsize: no search gets there
     nodes = 0
     used = 0
     path: list[int] = []  # every path so far, back to back, in search order
-    untried: list[int] = []  # per path vertex: neighbours still to try
+    stack: list[int] = []  # per path vertex: what the vertex before it has still to try
+    cand = 0  # the last vertex's neighbours still to try
     pos = 0
+    goal, block = dst[0], blocked[0]
     v = src[0]
     while True:
         nodes += 1
-        if node_budget is not None and nodes > node_budget:
+        if nodes > limit:
             return Verdict(None, None, nodes)
         used |= 1 << v
         path.append(v)
-        if v != dst[pos]:
-            untried.append(masks[v] & ~(used | (terminals ^ 1 << dst[pos])))
+        stack.append(cand)
+        if v != goal:
+            cand = masks[v] & ~(used | block)
         elif pos + 1 == k:
             break
         else:
-            untried.append(0)
-            if pending_ok(pos + 1, used):
+            cand = 0
+            if pending_ok(pending[pos + 1], used):
                 pos += 1
+                goal, block = dst[pos], blocked[pos]
                 v = src[pos]
                 continue
         # backtrack to the deepest vertex with a neighbour left to try;
         # undoing a pair's start resumes the previous pair at its target,
         # which has none, so the search unwinds into that pair's path
-        while not untried[-1]:
-            untried.pop()
+        while not cand:
             u = path.pop()
             used ^= 1 << u
+            cand = stack.pop()
             if u == src[pos]:
                 if pos == 0:
                     return Verdict(False, None, nodes)
                 pos -= 1
-        low = untried[-1] & -untried[-1]
-        untried[-1] ^= low
+                goal, block = dst[pos], blocked[pos]
+        low = cand & -cand
+        cand ^= low
         v = low.bit_length() - 1
     paths: list[tuple[Vertex, ...]] = [()] * k
     cut = 0

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from rooklink.oracle import judged
 from helpers import (brute_linkable, brute_orbit_count, corner_instances, fake_pool,
                      pairing_images, symmetry_tables)
 from rooklink import (Linkage, LinkageProblem, ProblemContractError, ProductGraph,
-                      Subgrid, Vertex, VerifyReport,
+                      Subgrid, Verdict, Vertex, VerifyReport,
                       all_pairings, exhaustive_solve, find_infeasible_pairing,
                       max_guaranteed_pairs, random_pairing, solve, verify)
 
@@ -224,6 +225,48 @@ class TestExhaustiveSolve:
                                     v.witness and v.witness.paths)).encode())
         assert digest.hexdigest() == (
             "9edf0c7f9185047d5da1b444f2458dcf191a5bba4cc33188e7b7acdbeb0d44d5")
+
+    def test_every_budget_boundary(self):
+        # a search of N nodes held to a budget b < N stops one node over
+        # (at 1 for any b <= 0); from b = N on it ends as unbudgeted, and
+        # one decided before any node ignores its budget, negative or not
+        rng = random.Random(9)
+        kinds = set()
+        for _ in range(80):
+            rows = tuple(sorted(rng.sample(range(5), rng.randint(1, 3))))
+            cols = tuple(sorted(rng.sample(range(5), rng.randint(2, 4))))
+            sub = Subgrid(ProductGraph(4, 4), rows, cols)
+            verts = sorted(sub.vertices())
+            k = rng.randint(1, len(verts) // 2)
+            p = LinkageProblem(sub, tuple(random_pairing(rng.sample(verts, 2 * k), rng)))
+            full = exhaustive_solve(p)
+            n = full.nodes_explored
+            kinds.add((full.feasible, n > 0))
+            for budget in range(-2, n + 2):
+                v = exhaustive_solve(p, budget)
+                if 0 < n and budget < n:
+                    assert v == Verdict(None, None, max(budget, 0) + 1)
+                else:
+                    assert v == full
+        assert kinds == {(True, True), (False, True), (False, False)}
+
+    def test_setup_memory_is_linear_in_the_pairs(self):
+        # each far pair's board-sized bits are built once per search and
+        # shared by every position before it (about 0.24 MB peak here);
+        # one copy per position would be about 45,000 pairs of them for
+        # 300 pairs on 2,401 cells, about 19 MB before the first node
+        rng = random.Random(4)
+        g = ProductGraph(49, 49)
+        verts = sorted(g.subgrid().vertices())
+        p = LinkageProblem(g, tuple(random_pairing(rng.sample(verts, 600), rng)))
+        exhaustive_solve(p, 0)  # builds the cached board table outside the trace
+        tracemalloc.start()
+        try:
+            assert exhaustive_solve(p, 1).indeterminate
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_labels_do_not_change_the_search(self):
         rows, cols = (1, 4, 7, 8), (0, 2, 5, 9)
