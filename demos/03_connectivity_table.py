@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Tabulate the vertex connectivity of small grids.
 
-The product K^{d1+1} x K^{d2+1} is exactly (d1 + d2)-connected; the
-table below is computed by minimum vertex cuts (max-flow), not by the
-formula, so it doubles as a check of that fact at small scale.
+The product K^{d1+1} x K^{d2+1} is exactly (d1 + d2)-connected; each
+entry below is backed by fans of disjoint paths that the library builds
+and checks for every pair a minimum cut could separate, so the table
+doubles as a check of that fact at small scale.
 """
 
 from rooklink import ProductGraph, connectivity

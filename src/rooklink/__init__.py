@@ -4,12 +4,12 @@ The Cartesian product of two complete graphs K^{d1+1} x K^{d2+1} is the
 rook's graph on a (d1+1) x (d2+1) board.  This package constructs, for
 any k <= (d1 + d2) // 2 and any pairing of 2k distinct vertices, k
 pairwise vertex-disjoint paths joining the pairs; it also ships an
-independent exhaustive oracle, a Menger engine with connectivity
-computation, and a sharpness harness showing the bound on k is tight.
+independent exhaustive oracle, vertex connectivity checked on explicit
+fans of disjoint paths, and a sharpness harness showing the bound on k
+is tight.
 """
 
-from .grid import (EmptySubgridError, InvalidVertexError, ProductGraph,
-                   Subgrid, Vertex, flip)
+from .grid import EmptySubgridError, InvalidVertexError, ProductGraph, Subgrid, Vertex
 from .instances import (InstanceFormatError, parse_instance, parse_linkage,
                         serialize_instance, serialize_linkage)
 from .menger import connectivity
@@ -29,7 +29,7 @@ __all__ = [
     "ProductGraph", "SharpnessResult", "SolverInvariantError", "SolverTrace",
     "Subgrid", "Verdict", "Vertex", "VerifyReport", "all_pairings",
     "connectivity", "cyclic_dual_params", "exhaustive_solve",
-    "find_infeasible_pairing", "flip", "max_guaranteed_pairs",
+    "find_infeasible_pairing", "max_guaranteed_pairs",
     "parse_instance", "parse_linkage", "random_pairing", "render_trace",
     "replay", "serialize_instance", "serialize_linkage", "solve", "verify",
 ]

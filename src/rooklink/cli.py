@@ -42,7 +42,7 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1
 # oracle's and sharpness's default: 4.5-6.2 s for `sharpness 2 7 --exhaustive` on a 2-vCPU
 # Xeon VM, but 34-36 s for `sharpness 1 4999`: pending_ok's BFS is not charged to it
 ORACLE_NODE_BUDGET = 10_000_000
-MAX_VERTICES = {"connectivity": 400,  # about (d1 + d2)^3.4: 0.15-0.2 s at 20 x 20
+MAX_VERTICES = {"connectivity": 400,  # about (d1 + d2)^3: 50-55 ms at 20 x 20
                 "oracle": 10_000,  # the oracle's board table: 30-44 MB at 100 x 100
                 "sharpness": 10_000}  # the same table, shared by the hunt's instances
 
@@ -113,7 +113,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_connectivity(args) -> int:
     grid = ProductGraph(args.d1, args.d2)
     n = grid.vertex_count
-    if grid.d1 and grid.d2 and n > MAX_VERTICES["connectivity"]:  # cliques need no flow
+    if grid.d1 and grid.d2 and n > MAX_VERTICES["connectivity"]:  # cliques need no fans
         return _refuse("connectivity", n)
     print(connectivity(grid.subgrid()))
     return EXIT_OK

@@ -5,16 +5,12 @@ network: each active vertex v becomes v_in -> v_out with capacity one.
 Row and column cliques are wired through per-row / per-column hub nodes,
 so a clique of size m contributes O(m) arcs instead of O(m^2); that is
 what keeps 100x100 grids fast.  Augmenting paths are found breadth-first
-over a fixed arc order, so results are deterministic; a pre-pass takes
-the ones through at most one hub, which the BFS would find first, faster.
+over a fixed arc order, so results are deterministic.
 
 Extracted flow paths are normalised into A-B paths: each returned path
 meets A only at its first vertex and B only at its last one (a vertex in
-both A and B yields a single-vertex path).
-
-connectivity only counts: it runs 2(m-1)(n-1) local flows on an m x n
-subgrid (Esfahanian-Hakimi), each capped at the best value so far, on one
-network re-armed per pair, and extracts no paths.
+both A and B yields a single-vertex path).  Only tests call this engine:
+connectivity checks one explicit fan of paths per pair, with no flow.
 """
 
 from __future__ import annotations
@@ -28,11 +24,11 @@ class _FlowNet:
     """Residual network of unit arcs: arc i leaves ends[i] and enters
     ends[i ^ 1], so arc 2i runs forward and arc 2i+1 is its reverse.
 
-    Node ids: 0 source, 1 sink, then v_in = 2 + 2i and v_out = 3 + 2i for
-    the i-th active vertex given (callers list them row-major), then row
-    hubs, then column hubs.  That order and the order of `ends` (splits,
-    v's being arc v_in - 2; hub arcs per vertex; A's source arcs; B's sink
-    arcs) fix the arc ids, and with them which augmenting path BFS finds.
+    Node ids: 0 source, 1 sink, then v_in/v_out per active vertex in the
+    order given (callers list them row-major), then row hubs, then column
+    hubs.  That order and the order of `ends` (vertex splits, each
+    vertex's hub arcs, A's source arcs, B's sink arcs) fix the arc ids,
+    and with them which augmenting path each BFS finds.
     """
 
     def __init__(self, s: Subgrid, verts: list[Vertex], a_set, b_set) -> None:
@@ -92,30 +88,10 @@ class _FlowNet:
                         push(v)
         return False
 
-    def max_flow(self, cap: int | None = None) -> int:
-        """Augment until the sink is cut off or the flow value reaches cap.
-
-        First saturate, in source-arc order, the augmenting paths through no
-        hub (a vertex in A and B alone), then those through one (a_out ->
-        hub -> b_in): the paths the BFS would find first, in its order."""
-        to, c, adj = self.to, self.cap, self.adj
-        ends = {to[r] - 1: r ^ 1 for r in adj[1] if c[r ^ 1]}  # b_in -> its open sink arc
+    def max_flow(self) -> int:
+        """Augment until the sink is cut off; the flow value."""
         value = 0
-        for a0 in [arc for arc in adj[0] if to[arc] in ends] + adj[0]:  # A and B first
-            a = to[a0]
-            if value == cap:
-                return value
-            if not (c[a0] and c[a - 2]):  # a closed source arc, or a already carries flow
-                continue
-            path = (a0, a - 2, ends[a]) if a in ends else next(
-                ((a0, a - 2, h, b, to[b] - 2, ends[to[b]]) for h in adj[a + 1] if c[h]
-                 for b in adj[to[h]] if to[b] in ends and c[to[b] - 2]), None)
-            if path:
-                for arc in path:
-                    c[arc] -= 1
-                    c[arc ^ 1] += 1
-                value += 1
-        while value != cap and self.augment():
+        while self.augment():
             value += 1
         return value
 
@@ -191,13 +167,9 @@ def connectivity(s: Subgrid) -> int:
     vertex u of another component, and u is not adjacent to v.  If v is
     in S, v has a neighbour in every component of G - S (else S - v would
     cut), so S separates two nonadjacent neighbours of v; on a rook's
-    graph those are one in v's row and one in v's column.  That is
-    2(m-1)(n-1) local flows on m x n.  Each stops once it reaches the best
-    value so far, which starts at the degree (no noncomplete graph is
-    more connected than that).  Full grids with both dimensions positive
-    come out to exactly d1 + d2.  The flows share one network, re-armed
-    per pair by _local_flows; on full grids max_flow's pre-pass alone
-    reaches the cap, with no BFS.
+    graph those are one in v's row and one in v's column.  Each of those
+    2(m-1)(n-1) pairs on m x n gets _fan's m + n - 2 paths, checked by
+    _check_fan, which shares no code with it; no vertex has more neighbours.
     """
     n = s.vertex_count
     if n < 2:
@@ -205,27 +177,29 @@ def connectivity(s: Subgrid) -> int:
     if s.n_rows == 1 or s.n_cols == 1:
         return n - 1
     r0, c0 = s.rows[0], s.cols[0]
-    best = s.n_rows + s.n_cols - 2
-    for net in _local_flows(s, (pair for r in s.rows[1:] for c in s.cols[1:]
-                                for pair in (((r0, c0), (r, c)), ((r0, c), (r, c0))))):
-        best = net.max_flow(best)
-    return best
+    degree = s.n_rows + s.n_cols - 2
+    for r in s.rows[1:]:
+        for c in s.cols[1:]:
+            for x, y in (((r0, c0), (r, c)), ((r0, c), (r, c0))):
+                _check_fan(s, x, y, _fan(s, x, y), degree)
+    return degree
 
 
-def _local_flows(s: Subgrid, pairs):
-    """Yield one network over every cell, re-armed for each pair (x, y): no
-    flow, the splits of x and y closed, and the source arcs open at N(x) only
-    and the sink arcs at N(y) only (every cell is in A and B at build)."""
-    cells = list(s.vertices())
-    at = {v: i for i, v in enumerate(cells)}
-    net = _FlowNet(s, cells, cells, cells)
-    cap, sources, sinks = net.cap, net.adj[0], net.adj[1]
-    blank = cap[:-4 * len(cells)] + bytes(4 * len(cells))  # source and sink arcs come last
-    for x, y in pairs:
-        cap[:] = blank
-        cap[2 * at[x]] = cap[2 * at[y]] = 0
-        for v in s.neighbors(x):
-            cap[sources[at[v]]] = 1
-        for v in s.neighbors(y):
-            cap[sinks[at[v]] ^ 1] = 1
-        yield net
+def _fan(s: Subgrid, x, y) -> list[list[tuple[int, int]]]:
+    """The m + n - 2 internally disjoint x-y paths, x and y on no common
+    line: one corner each way, then one along each other row and column."""
+    (xr, xc), (yr, yc) = x, y
+    return ([[x, (xr, yc), y], [x, (yr, xc), y]]
+            + [[x, (r, xc), (r, yc), y] for r in s.rows if r != xr and r != yr]
+            + [[x, (xr, c), (yr, c), y] for c in s.cols if c != xc and c != yc])
+
+
+def _check_fan(s: Subgrid, x, y, paths, k: int) -> None:
+    """Raise ValueError unless paths are k internally disjoint x-y paths of s."""
+    inner = [v for p in paths for v in p[1:-1]]
+    if len(paths) != k or len(set(inner)) != len(inner) or x in inner or y in inner:
+        raise ValueError(f"fan {x}-{y}: {len(paths)} paths, not {k} internally disjoint ones")
+    for p in paths:
+        if len(p) < 2 or p[0] != x or p[-1] != y or not all(map(s.contains, p)) or not all(
+                (u[0] == v[0]) != (u[1] == v[1]) for u, v in zip(p, p[1:])):
+            raise ValueError(f"fan {x}-{y}: {p} is not an x-y path of the subgrid")

@@ -11,7 +11,9 @@ reads pair, bridge and moves, and render_trace reads the rest; a field
 that the bridge or the move log already holds is not stored.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import rooklink
 import rooklink.solver
@@ -22,7 +24,7 @@ PUBLIC = {
     "ProductGraph", "SharpnessResult", "SolverInvariantError", "SolverTrace",
     "Subgrid", "Verdict", "Vertex", "VerifyReport", "all_pairings",
     "connectivity", "cyclic_dual_params", "exhaustive_solve",
-    "find_infeasible_pairing", "flip", "max_guaranteed_pairs",
+    "find_infeasible_pairing", "max_guaranteed_pairs",
     "parse_instance", "parse_linkage", "random_pairing", "render_trace",
     "replay", "serialize_instance", "serialize_linkage", "solve", "verify",
 }
@@ -69,3 +71,27 @@ def test_every_exported_name_resolves():
     for name in rooklink.__all__:
         assert getattr(rooklink, name, None) is not None, name
 
+
+
+
+def package_imports(module: str) -> set[str]:
+    """The rooklink modules that a module's source imports, relatively or
+    absolutely, at the top or inside a function."""
+    source = Path(rooklink.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("rooklink" if node.level else "", node.module)))
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return {name.split(".")[1] for name in names if name.startswith("rooklink.")}
+
+
+def test_module_import_boundaries():
+    # the north star's property: every linkage and every connectivity bound
+    # is checked by code that shares nothing with the code that built it
+    assert package_imports("cli") >= {"menger", "oracle", "solver"}  # the scan sees imports
+    assert package_imports("oracle") <= {"grid", "problem"}
+    assert package_imports("menger") <= {"grid"}
+    assert "oracle" not in package_imports("solver")

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rooklink import (EmptySubgridError, InvalidVertexError, ProblemContractError,
-                      ProductGraph, Subgrid, Vertex, flip)
+                      ProductGraph, Subgrid, Vertex)
+from rooklink.grid import flip
 
 
 @st.composite

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (all_pairs_connectivity, brute_ab_feasible, brute_connectivity,
                      brute_local_connectivity, check_ab_system)
 from rooklink import ProductGraph, Subgrid, Vertex, connectivity, menger
+from rooklink.cli import EXIT_INTERNAL, main
 from rooklink.menger import disjoint_paths
 
 
@@ -97,26 +98,6 @@ class TestFlowNet:
         assert flowed.hexdigest() == (
             "30afceaee21048238e66220a691f7c9e0627e1c8292634ee32f84af0c4ca75e0")
 
-    def test_rearmed_network_matches_a_fresh_one(self):
-        # the one network connectivity re-arms per pair, run uncapped, finds
-        # as many paths as a network built for that pair alone (and, on tiny
-        # boards, as the smallest x-y separator found by brute force)
-        rng = random.Random(29)
-        base = ProductGraph(7, 7)
-        for _ in range(60):
-            sub = Subgrid(base, tuple(rng.sample(range(8), rng.randint(2, 5))),
-                          tuple(rng.sample(range(8), rng.randint(2, 5))))
-            cells = list(sub.vertices())
-            pairs = [(x, y) for x, y in (rng.sample(cells, 2) for _ in range(8))
-                     if x[0] != y[0] and x[1] != y[1]]
-            for net, (x, y) in zip(menger._local_flows(sub, pairs), pairs):
-                found = net.max_flow()
-                fresh = menger._FlowNet(sub, [v for v in cells if v not in (x, y)],
-                                        sub.neighbors(x), sub.neighbors(y))
-                assert found == fresh.max_flow(), (sub.rows, sub.cols, x, y)
-                if len(cells) <= 9:
-                    assert found == brute_local_connectivity(sub, x, y)
-
 
 @st.composite
 def flow_instances(draw):
@@ -199,27 +180,68 @@ class TestConnectivity:
             assert connectivity(sub) == all_pairs_connectivity(sub), (sub.rows, sub.cols)
             checked += 1
 
-    def test_two_flows_per_cell_off_the_first_row_and_column(self, monkeypatch):
-        # 2(m-1)(n-1) capped local flows on m x n, all on one network, none
-        # decomposed into paths
-        built, flows = [], []
+    def test_one_checked_fan_per_pair_and_no_flow(self, monkeypatch):
+        # 2(m-1)(n-1) Esfahanian-Hakimi pairs on m x n, each with its own
+        # checked fan, and no flow network built
+        checked, check_fan = [], menger._check_fan
 
-        class CountingNet(menger._FlowNet):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
+        def refuse(*args):
+            raise AssertionError("connectivity built a flow network")
 
-            def max_flow(self, cap=None):
-                flows.append(cap)
-                return super().max_flow(cap)
+        def check(s, x, y, paths, k):
+            checked.append((x, y))
+            check_fan(s, x, y, paths, k)
 
-            def extract(self, *args):
-                raise AssertionError("connectivity extracted paths")
-
-        monkeypatch.setattr(menger, "_FlowNet", CountingNet)
+        monkeypatch.setattr(menger, "_FlowNet", refuse)
+        monkeypatch.setattr(menger, "_check_fan", check)
         assert connectivity(full(8, 8)) == 16
-        assert len(flows) == 128
-        assert len(built) == 1
+        assert len(checked) == len(set(checked)) == 128
+
+    def test_fans_are_as_wide_as_the_least_separator(self):
+        # on every shape of at most 9 cells with two lines each way, on
+        # gapped labels, each nonadjacent pair's fan has as many paths as
+        # the pair's smallest separator has cells
+        base = ProductGraph(4, 4)
+        for rows in ((0, 3), (1, 2, 4), (0, 1, 3, 4)):
+            for cols in ((2, 4), (0, 1, 3), (1, 2, 3, 4)):
+                sub = Subgrid(base, rows, cols)
+                if sub.vertex_count > 9:
+                    continue
+                cells = list(sub.vertices())
+                for x in cells:
+                    for y in cells:
+                        if x[0] != y[0] and x[1] != y[1]:
+                            fan = menger._fan(sub, x, y)
+                            menger._check_fan(sub, x, y, fan, len(fan))
+                            assert len(fan) == brute_local_connectivity(sub, x, y)
+
+    @pytest.mark.parametrize("breaks", [
+        lambda x, y, fan: fan[:1] + [[x, fan[0][1], y]] + fan[2:],  # a shared inner cell
+        lambda x, y, fan: fan[:2] + [[x, fan[2][2], y]] + fan[3:],  # a step on no line
+        lambda x, y, fan: fan[:2] + [fan[2][:-1]] + fan[3:],  # a wrong end
+        lambda x, y, fan: fan[:2] + [[x, (9, x[1]), (9, y[1]), y]] + fan[3:],  # off the board
+        lambda x, y, fan: fan[:-1],  # one path short
+    ], ids=["shared-cell", "off-line-step", "wrong-end", "off-board", "short"])
+    def test_a_broken_fan_is_a_bug(self, monkeypatch, breaks):
+        sub = Subgrid(ProductGraph(9, 9), (0, 1, 3), (0, 1, 2, 4))
+        x, y = Vertex(0, 0), Vertex(1, 1)
+        with pytest.raises(ValueError):
+            menger._check_fan(sub, x, y, breaks(x, y, menger._fan(sub, x, y)), 5)
+        fan = menger._fan
+        monkeypatch.setattr(menger, "_fan", lambda s, x, y: breaks(x, y, fan(s, x, y)))
+        with pytest.raises(ValueError):
+            connectivity(sub)
+        assert main(["connectivity", "2", "3"]) == EXIT_INTERNAL
+
+    def test_a_path_through_an_end_is_not_internally_disjoint(self):
+        # in a whole fan, a path through y would take two of y's neighbours,
+        # one too many; a check of fewer paths must catch it on its own
+        sub = full(2, 2)
+        x, y = Vertex(0, 0), Vertex(1, 1)
+        menger._check_fan(sub, x, y, [[x, (0, 1), y]], 1)
+        for path in ([x, (0, 1), y, (1, 2), y], [x, (0, 1), x, (1, 0), y]):
+            with pytest.raises(ValueError):
+                menger._check_fan(sub, x, y, [path], 1)
 
     def test_subgrid_connectivity(self):
         sub = Subgrid(ProductGraph(3, 4), (0, 2, 3), (1, 4))

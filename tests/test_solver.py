@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from rooklink import (LinkageProblem, ProblemContractError, ProductGraph,
                       SolverInvariantError, Subgrid, Vertex, all_pairings,
-                      cyclic_dual_params, exhaustive_solve, flip,
+                      cyclic_dual_params, exhaustive_solve,
                       max_guaranteed_pairs, parse_instance, parse_linkage,
                       random_pairing, render_trace, replay, serialize_instance,
                       serialize_linkage, solve, verify)
 import rooklink.menger
 import rooklink.oracle
 import rooklink.solver
+from rooklink.grid import flip
 from rooklink.solver import (LinePairStep, SingleRowStep, SolverTrace, TransposeStep,
                              TwoColumnStep, TwoRowsStep, _Board, _finish, _next_step,
                              bridge_path, drain_block)
