@@ -7,10 +7,11 @@ and every vertex of the full grid has degree d1 + d2.
 
 Subgrids are induced subgraphs described by active row/column label
 sets.  Vertices always keep their ambient coordinates, so a path found
-inside a subgrid is valid verbatim in every enclosing grid; adjacency is
-computed from coordinates and never stored as an edge list.  A Vertex is
-built in one place, _vertex here; steps and table lookups elsewhere key
-on plain (r, c) tuples, which a Vertex compares and hashes equal to.
+inside a subgrid is valid verbatim in every enclosing grid.  Adjacency
+is read off the coordinates where it is needed; a Subgrid keeps no edge
+list and answers no neighbour query.  A Vertex is built in one place,
+_vertex here; steps and table lookups elsewhere key on plain (r, c)
+tuples, which a Vertex compares and hashes equal to.
 """
 
 from __future__ import annotations
@@ -131,16 +132,6 @@ class Subgrid:
     def contains(self, v: Vertex) -> bool:
         return v[0] in self._row_set and v[1] in self._col_set
 
-    def require(self, v: Vertex) -> None:
-        if not self.contains(v):
-            raise InvalidVertexError(f"vertex {tuple(v)} not active in subgrid")
-
     def vertices(self) -> Iterator[Vertex]:
         """The active cells in row-major order, as a fresh one-pass iterator."""
         return map(_vertex, product(self.rows, self.cols))
-
-    def neighbors(self, v: Vertex) -> set[Vertex]:
-        """All active vertices adjacent to v; there are (rows-1)+(cols-1) of them."""
-        self.require(v)
-        col = set(map(_vertex, product(self.rows, (v[1],))))
-        return col.symmetric_difference(map(_vertex, product((v[0],), self.cols)))  # v is in both

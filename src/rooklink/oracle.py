@@ -16,7 +16,7 @@ of the board's symmetries (row and column permutations, and
 transposition on square boards); the other is a seeded sample of
 random_problem draws.  judged, the one worker pool, streams both this
 sweep and the CLI's fuzz campaign.  Nothing here imports the solver or
-the flow engine.
+menger.
 """
 
 from __future__ import annotations

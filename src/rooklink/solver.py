@@ -39,7 +39,7 @@ step finds the rows full outside its block among one rest column's rows,
 and walks the others lazily, in label order; a transpose swaps the line
 indexes and re-keys the pairs in one pass.  Every evacuation is one call
 to drain_block, which is handed the block's terminals to walk out and
-finds its own spare rows; no step uses the max-flow engine.  Each step
+finds its own spare rows; the package has no max-flow engine.  Each step
 logs its moves in the order made, and steps keep each pair's (s, t)
 order, so replay undoes a step's moves, last first, onto the later paths
 as they stand.  A line-pair step records the other pairs it routes as
@@ -65,7 +65,6 @@ from heapq import heappop, heappush
 from itertools import chain
 
 from .grid import _vertex, flip
-from .menger import disjoint_paths  # unused; perfbench/tracing.py wraps this name
 from .problem import Linkage, LinkageProblem, ProblemContractError
 
 Cell = tuple[int, int]  # a board cell (r, c); a Vertex compares and hashes equal
@@ -76,6 +75,12 @@ class SolverInvariantError(RuntimeError):
     def __init__(self, message: str, trace: "SolverTrace | None" = None) -> None:
         super().__init__(message)
         self.trace = trace
+
+
+def disjoint_paths(s, a_set, b_set, forbidden=(), k=None):
+    """A name perfbench/tracing.py wraps; the solver routes with no flow and
+    never calls it.  ROADMAP item 15 deletes it together with tracing.py."""
+    raise SolverInvariantError("the package has no max-flow engine")
 
 
 def cyclic_dual_params(d: int) -> tuple[int, int]:

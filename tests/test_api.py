@@ -1,11 +1,13 @@
 """The package's public surface: what `from rooklink import *` exports.
 
-Routing pieces the solver and the Menger engine use internally, and
-that only tests call (drain_block, bridge_path, disjoint_paths), stay in
-their modules; this pin keeps them from drifting back into the API.
-The board's queries live on Subgrid alone, and both classes' members
-are pinned so that a second copy of a query, or a query that only
-tests call, cannot drift back either.  The solver's step records are
+Routing pieces the solver uses internally, and that tests also call
+(drain_block, bridge_path), stay in their module; this pin keeps them
+from drifting back into the API.  What only tests use lives in
+tests/helpers.py: the neighbour query and the max flow that the
+brute-force oracles and the connectivity cross-check run on.  The
+board's queries live on Subgrid alone, and both classes' members are
+pinned so that a second copy of a query, or a query that only tests
+call, cannot drift back either.  The solver's step records are
 pinned field by field: perfbench maps the steps by class name, replay
 reads pair, bridge and moves, and render_trace reads the rest; a field
 that the bridge or the move log already holds is not stored.
@@ -43,8 +45,7 @@ def test_product_graph_members_are_pinned():
     assert members == PRODUCT_GRAPH
 
 
-SUBGRID = {"base", "rows", "cols", "n_rows", "n_cols", "vertex_count", "contains", "require",
-           "vertices", "neighbors"}
+SUBGRID = {"base", "rows", "cols", "n_rows", "n_cols", "vertex_count", "contains", "vertices"}
 
 
 def test_subgrid_members_are_pinned():
@@ -74,12 +75,15 @@ def test_every_exported_name_resolves():
 
 
 
+def package_tree(module: str) -> ast.Module:
+    return ast.parse(Path(rooklink.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+
+
 def package_imports(module: str) -> set[str]:
     """The rooklink modules that a module's source imports, relatively or
     absolutely, at the top or inside a function."""
-    source = Path(rooklink.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(package_tree(module)):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -94,4 +98,12 @@ def test_module_import_boundaries():
     assert package_imports("cli") >= {"menger", "oracle", "solver"}  # the scan sees imports
     assert package_imports("oracle") <= {"grid", "problem"}
     assert package_imports("menger") <= {"grid"}
-    assert "oracle" not in package_imports("solver")
+    assert package_imports("solver") <= {"grid", "problem"}
+    # connectivity is shown by checked fans and the solver routes by explicit
+    # moves: no module defines a flow network; the tests keep their own
+    modules = [path.stem for path in Path(rooklink.__file__).parent.glob("*.py")]
+    assert {"cli", "grid", "menger", "oracle", "solver"} <= set(modules)
+    defined = {node.name for module in modules for node in ast.walk(package_tree(module))
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert {"connectivity", "solve"} <= defined  # the scan sees definitions
+    assert not defined & {"_FlowNet", "augment", "max_flow", "extract"}

@@ -352,7 +352,7 @@ class TestCliConnectivity:
         assert main(["connectivity", "2", "3"]) == 4
         assert capsys.readouterr().err == "internal error: boom\n"
 
-    def test_large_board_is_refused_before_any_flow(self, capsys, monkeypatch):
+    def test_large_board_is_refused_before_any_fan(self, capsys, monkeypatch):
         def refused(sub):
             raise AssertionError("connectivity ran past the size guard")
 
