@@ -43,7 +43,10 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1
 # oracle's and sharpness's default: 4.5-6.2 s for `sharpness 2 7 --exhaustive` on a 2-vCPU
 # Xeon VM, but 34-36 s for `sharpness 1 4999`: pending_ok's BFS is not charged to it
 ORACLE_NODE_BUDGET = 10_000_000
-MAX_VERTICES = {"connectivity": 400,  # about (d1 + d2)^3: 50-55 ms at 20 x 20
+# connectivity checks 2*d1*d2 fans of d1 + d2 paths, so the thinnest board costs most:
+# `connectivity 1 199` (79,600 paths) takes about 87 ms and `19 19` (27,436) about 33 ms
+# on a 2-vCPU Xeon VM
+MAX_VERTICES = {"connectivity": 400,
                 "oracle": 10_000,  # the oracle's board table: 30-44 MB at 100 x 100
                 "sharpness": 10_000}  # the same table, shared by the hunt's instances
 

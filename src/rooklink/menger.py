@@ -50,11 +50,16 @@ def _fan(s: Subgrid, x, y) -> list[list[tuple[int, int]]]:
 
 
 def _check_fan(s: Subgrid, x, y, paths, k: int) -> None:
-    """Raise ValueError unless paths are k internally disjoint x-y paths of s."""
+    """Raise ValueError unless paths are k internally disjoint x-y paths of s.
+
+    x, y and the inner cells make a set of len(inner) + 2 cells only if
+    no inner cell repeats or is x or y, and x != y.  Once every path runs
+    from x to y, that set holds every cell of the fan, so each cell's
+    activity is checked once."""
     inner = [v for p in paths for v in p[1:-1]]
-    if len(paths) != k or len(set(inner)) != len(inner) or x in inner or y in inner:
+    cells = {x, y, *inner}
+    if len(paths) != k or len(cells) != len(inner) + 2:
         raise ValueError(f"fan {x}-{y}: {len(paths)} paths, not {k} internally disjoint ones")
-    for p in paths:
-        if len(p) < 2 or p[0] != x or p[-1] != y or not all(map(s.contains, p)) or not all(
-                (u[0] == v[0]) != (u[1] == v[1]) for u, v in zip(p, p[1:])):
-            raise ValueError(f"fan {x}-{y}: {p} is not an x-y path of the subgrid")
+    if not (all(map(s.contains, cells)) and all(p and p[0] == x and p[-1] == y for p in paths)
+            and all((u[0] == v[0]) != (u[1] == v[1]) for p in paths for u, v in zip(p, p[1:]))):
+        raise ValueError(f"fan {x}-{y}: a path is not an x-y path of the subgrid")

@@ -367,6 +367,12 @@ class TestCliConnectivity:
         assert main(["connectivity", "19", "19"]) == 0
         assert capsys.readouterr().out == "400\n"
 
+    @pytest.mark.parametrize("d1,d2,expected", [(1, 199, 200), (2, 132, 134)])
+    def test_boards_at_the_guard_are_checked_in_full(self, capsys, d1, d2, expected):
+        # the thinnest boards of at most 400 cells check the most fan paths
+        assert main(["connectivity", str(d1), str(d2)]) == 0
+        assert capsys.readouterr().out == f"{expected}\n"
+
     @pytest.mark.parametrize("d1,d2", [(0, 500), (500, 0)])
     def test_cliques_are_never_guarded(self, capsys, d1, d2):
         assert main(["connectivity", str(d1), str(d2)]) == 0

@@ -216,7 +216,11 @@ class TestConnectivity:
         lambda x, y, fan: fan[:2] + [fan[2][:-1]] + fan[3:],  # a wrong end
         lambda x, y, fan: fan[:2] + [[x, (9, x[1]), (9, y[1]), y]] + fan[3:],  # off the board
         lambda x, y, fan: fan[:-1],  # one path short
-    ], ids=["shared-cell", "off-line-step", "wrong-end", "off-board", "short"])
+        # a path too short to have two ends is a broken fan, not an IndexError
+        lambda x, y, fan: fan[:-1] + [[]],
+        lambda x, y, fan: fan[:-1] + [[x]],
+    ], ids=["shared-cell", "off-line-step", "wrong-end", "off-board", "short", "empty-path",
+            "one-cell-path"])
     def test_a_broken_fan_is_a_bug(self, monkeypatch, breaks):
         sub = Subgrid(ProductGraph(9, 9), (0, 1, 3), (0, 1, 2, 4))
         x, y = Vertex(0, 0), Vertex(1, 1)
@@ -227,6 +231,14 @@ class TestConnectivity:
         with pytest.raises(ValueError):
             connectivity(sub)
         assert main(["connectivity", "2", "3"]) == EXIT_INTERNAL
+
+    def test_an_inactive_end_is_off_the_subgrid(self):
+        # x's row is inactive and its column active: x is the path's one
+        # inactive cell, and the activity check must reach the ends too
+        sub = Subgrid(ProductGraph(2, 2), (1, 2), (0, 1, 2))
+        x, y = Vertex(0, 0), Vertex(1, 1)
+        with pytest.raises(ValueError):
+            menger._check_fan(sub, x, y, [[x, (y[0], x[1]), y]], 1)
 
     def test_a_path_through_an_end_is_not_internally_disjoint(self):
         # in a whole fan, a path through y would take two of y's neighbours,
